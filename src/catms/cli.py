@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -203,12 +204,16 @@ def build_gate_config(spec: ExperimentSpec, overrides: dict | None = None) -> Ga
 @dataclass(frozen=True)
 class ResourceEstimate:
     bytes_required: int
-    est_steps: int
     density: bool
 
 
 def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
-    """State-storage estimate for the largest grid point (complex128 entries)."""
+    """State-storage estimate for the largest grid point (complex128 entries).
+
+    Gate kinds are sized by the model that run_gate builds at each grid
+    point, from arithmetic on the config alone; a point is a density-matrix
+    run when any decay rate, including one the grid sets, is positive.
+    """
     if spec.kind == "cat_prep":
         dim = int(spec.raw.get("config", {}).get("dim", 30))
         c = spec.raw.get("config", {})
@@ -216,16 +221,17 @@ def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
             c.get("gamma", 0.0), "gamma"
         ) > 0
         n = dim * dim if density else dim
-        return ResourceEstimate(n * 16, 2000, density)
+        return ResourceEstimate(n * 16, density)
     if spec.kind == "single_qubit":
         dim = int(spec.raw.get("config", {}).get("dim", 40))
-        return ResourceEstimate(dim * 16 * 2, 500_000, False)
-    cfg = build_gate_config(spec)
-    dim = cfg.qubit_space.dim if spec.mode == "effective" else cfg.space.dim
-    density = any(r > 0 for r in (cfg.kappa, cfg.gamma, cfg.kappa0, cfg.gamma0))
-    entries = dim * dim if density else dim
-    steps = 6000 if density else 2000
-    return ResourceEstimate(entries * 16, steps, density)
+        return ResourceEstimate(dim * 16 * 2, False)
+    estimates = []
+    for point in list(spec.grid_points()) or [{}]:
+        cfg = build_gate_config(spec, point)
+        dim = prod(gates.model_dims(cfg, spec.mode))
+        density = any(r > 0 for r in (cfg.kappa, cfg.gamma, cfg.kappa0, cfg.gamma0))
+        estimates.append(ResourceEstimate((dim * dim if density else dim) * 16, density))
+    return max(estimates, key=lambda e: e.bytes_required)
 
 
 # --- per-kind record computation ----------------------------------------------
@@ -416,8 +422,9 @@ def write_outputs(spec: ExperimentSpec, records: list[dict], out_dir: str | Path
 
 
 def _fmt(v):
+    # float() first: under NumPy 2 the repr of a NumPy scalar is "np.float64(…)"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return v
 
 

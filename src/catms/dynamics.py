@@ -177,23 +177,6 @@ def _rk4_integrate(rhs, y0, t0, t1, out_times, dt):
     return out
 
 
-def propagator_on_subspace(h, basis: list[StateVector], t_span,
-                           settings: IntegratorSettings | None = None) -> np.ndarray:
-    """M_ij = <basis_i| U(t1, t0) |basis_j> by evolving each basis column."""
-    if not basis:
-        raise ValueError("basis must be non-empty")
-    b = np.stack([v.amplitudes for v in basis], axis=1)
-    gram = b.conj().T @ b
-    if np.abs(gram - np.eye(len(basis))).max() > 1e-8:
-        raise ValueError("basis is not orthonormal within 1e-8")
-    cols = []
-    for v in basis:
-        res = evolve_state(h, v, t_span, settings)
-        cols.append(res.final.amplitudes)
-    u = np.stack(cols, axis=1)
-    return b.conj().T @ u
-
-
 # --- exact propagation for piecewise-constant generators ----------------------
 
 

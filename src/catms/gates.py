@@ -7,27 +7,30 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import model
-from .dynamics import (
-    EvolutionResult,
-    IntegratorSettings,
-    evolve_density,
-    propagate_piecewise,
-)
+from .dynamics import IntegratorSettings, evolve_density, propagate_piecewise
 from .hilbert import (
     DensityMatrix,
     SparseOperator,
     StateVector,
     annihilation,
     dagger,
-    partial_trace,
+    make_space,
+    number_op,
+    tensor_embed,
 )
-from .model import GateConfig, Schedule
+from .model import (
+    CollapseChannel,
+    GateConfig,
+    Schedule,
+    h_kerr_single,
+    kerr_level_isometry,
+    pauli,
+)
 from .states import (
     CatParity,
     QubitBasisState,
     all_basis_states,
-    basis_state,
+    fidelity,
     single_mode_cat_vector,
 )
 
@@ -46,13 +49,6 @@ def beta(t: float, config: GateConfig) -> float:
     d = config.delta
     r = 2.0 * config.j_coupling * config.alpha / d
     return float(r**2 * (np.sin(d * t) - d * t))
-
-
-def resonance_detuning(j_coupling: float, alpha: float, m_loops: int = 1) -> float:
-    """Δ = 4 sqrt(m) J α, the condition for β(t_g) = −π/2."""
-    if j_coupling <= 0 or alpha <= 0:
-        raise ValueError("J and alpha must be positive")
-    return 4.0 * np.sqrt(m_loops) * j_coupling * alpha
 
 
 def gate_time(config: GateConfig) -> float:
@@ -172,64 +168,32 @@ def average_gate_fidelity(m: np.ndarray, dim: int | None = None) -> float:
     return float((np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / (d**2 + d))
 
 
-def ideal_output_state(config: GateConfig, input_state: QubitBasisState) -> StateVector:
-    """Target state U_MS(t_g)|input⟩ (β = −π/2) on the full space."""
-    target = ms_target_matrix(config.n_qubits)
-    col = target[:, input_state.index]
-    basis = all_basis_states(config.n_qubits, bus_fock=input_state.bus_fock)
-    amps = np.zeros(config.space.dim, dtype=complex)
-    for k, b in enumerate(basis):
+def output_fidelity(state, model: GateModel, input_state: QubitBasisState) -> float:
+    """F_out = ⟨ψ_out|ρ|ψ_out⟩ against the ideal output U_MS(t_g)|input⟩ (β = −π/2)."""
+    n_qubits = model.space.n_modes - 1
+    col = ms_target_matrix(n_qubits)[:, input_state.index]
+    amps = np.zeros(model.space.dim, dtype=complex)
+    for k, b in enumerate(all_basis_states(n_qubits, bus_fock=input_state.bus_fock)):
         if abs(col[k]) > 0:
-            amps += col[k] * basis_state(config, b).amplitudes
-    return StateVector(config.space, amps)
+            amps += col[k] * model.basis_vector(b)
+    return fidelity(state, StateVector(model.space, amps))
 
 
-def output_fidelity(state, config: GateConfig, input_state: QubitBasisState) -> float:
-    """F_out = ⟨ψ_out|ρ|ψ_out⟩ against the ideal MS output for the given input."""
-    from .states import fidelity
+def no_leakage(state, model: GateModel) -> float:
+    """P_C: population left in the joint cat manifold (no KPO has leaked).
 
-    return fidelity(state, ideal_output_state(config, input_state))
-
-
-def _reduced_mode(state, mode) -> np.ndarray:
-    if isinstance(state, DensityMatrix):
-        return partial_trace(state, mode)
-    space = state.space
-    k = space.mode_index(mode)
-    m = np.moveaxis(state.amplitudes.reshape(space.mode_dims), k, 0)
-    m = m.reshape(space.mode_dims[k], -1)
-    return m @ m.conj().T
-
-
-def _cat_manifold_map(bus_dim: int, cat_rows: np.ndarray, n_qubits: int):
-    """Sparse map onto the joint cat manifold: I_bus ⊗ C ⊗ … ⊗ C.
-
-    cat_rows is the 2×d matrix whose rows are the ⟨C±| bras of one KPO.
+    It is the weight of the state under the map I_bus ⊗ C ⊗ … ⊗ C, where the
+    rows of C are the ⟨C±| bras of one KPO in the model's KPO basis.
     """
-    a = sp.identity(bus_dim, dtype=complex, format="csr")
-    c = sp.csr_matrix(cat_rows)
-    for _ in range(n_qubits):
-        a = sp.kron(a, c, format="csr")
-    return a
-
-
-def _joint_cat_population(state, amap) -> float:
+    rows = sp.csr_matrix(np.stack([model.cats[p].conj() for p in CatParity]))
+    amap = sp.identity(model.space.mode_dims[0], dtype=complex, format="csr")
+    for _ in range(model.space.n_modes - 1):
+        amap = sp.kron(amap, rows, format="csr")
     if isinstance(state, DensityMatrix):
         proj = amap @ state.entries @ amap.conj().T.tocsr()
         return float(np.real(np.trace(proj)))
     w = amap @ state.amplitudes
     return float(np.real(np.vdot(w, w)))
-
-
-def no_leakage(state, config: GateConfig) -> float:
-    """P_C: population left in the joint cat manifold (no KPO has leaked)."""
-    dim = state.space.mode_dims[1]
-    cat_rows = np.stack([
-        single_mode_cat_vector(dim, config.alpha, parity).conj()
-        for parity in (CatParity.EVEN, CatParity.ODD)
-    ])
-    amap = _cat_manifold_map(state.space.mode_dims[0], cat_rows, config.n_qubits)
-    return _joint_cat_population(state, amap)
 
 
 # --- error bias -----------------------------------------------------------------
@@ -250,33 +214,18 @@ def verify_error_bias(config: GateConfig, tau_err: float, qubit: int,
 
     chi1, beta1 = loop_trajectory(sched, cfg.alpha, tau_err)
     u1 = ms_unitary(cfg, chi1, beta1)
-    # propagator of the remaining arc, integrated from scratch with φ0 = Δτ
-    tail = Schedule(np.array([0.0, t_g - tau_err]),
-                    np.array([cfg.delta]), np.array([cfg.j_coupling]))
-    g_phase = cfg.delta * tau_err
-    chi2, beta2 = _loop_with_initial_phase(tail, cfg.alpha, g_phase)
-    u2 = ms_unitary(cfg, chi2, beta2)
+    # propagator of the remaining arc, integrated from scratch: its coupling
+    # phase starts at φ0 = Δτ, and a common phase e^{iφ0} maps (χ, β) to
+    # (χ·e^{iφ0}, β)
+    tail = Schedule.constant(cfg.delta, cfg.j_coupling, t_g - tau_err)
+    chi2, beta2 = loop_trajectory(tail, cfg.alpha, t_g - tau_err)
+    u2 = ms_unitary(cfg, chi2 * np.exp(1j * cfg.delta * tau_err), beta2)
 
     chit, betat = loop_trajectory(sched, cfg.alpha, t_g)
     utot = ms_unitary(cfg, chit, betat)
 
-    err = model.pauli(cfg.qubit_space, qubit, error_axis).to_dense()
+    err = pauli(cfg.qubit_space, qubit, error_axis).to_dense()
     return float(np.abs(u2 @ err @ u1 - err @ utot).max())
-
-
-def _loop_with_initial_phase(schedule: Schedule, alpha: float, phi0: float):
-    shifted = Schedule(schedule.times, schedule.delta, schedule.j_coupling)
-    chi_acc = 0.0 + 0.0j
-    beta_acc = 0.0
-    for t0, t1, d, j, seg_phi in shifted.segments():
-        u = t1 - t0
-        g = 2.0 * j * alpha * np.exp(1j * (seg_phi + phi0))
-        beta_acc += float(
-            np.imag(np.conj(g) * chi_acc * (1.0 - np.exp(-1j * d * u)) / (1j * d))
-        )
-        beta_acc += (abs(g) ** 2 / d) * (np.sin(d * u) / d - u)
-        chi_acc = chi_acc + g * (np.exp(1j * d * u) - 1.0) / (1j * d)
-    return complex(chi_acc), float(beta_acc)
 
 
 # --- detuning switch ---------------------------------------------------------------
@@ -326,7 +275,7 @@ def plan_detuning_switch(config: GateConfig, eps_a: float, m_after: int = 1) -> 
     return plan
 
 
-# --- gate runner --------------------------------------------------------------------
+# --- gate models and runner ---------------------------------------------------------
 
 
 @dataclass
@@ -342,154 +291,113 @@ class GateRunResult:
     final_state: object | None = None
 
 
-def _bus_number_diag(space) -> np.ndarray:
-    stride0 = space.strides()[0]
-    return np.arange(space.dim) // stride0
+def model_dims(config: GateConfig, mode: str) -> tuple[int, ...]:
+    """Mode dimensions of the GateModel that run_gate builds for `mode`.
+
+    The bus keeps bus_dim Fock levels. Each KPO keeps its two cat states in
+    effective mode, else its kpo_levels highest Kerr levels when that is set,
+    else its kpo_dim Fock levels.
+    """
+    if mode == "effective":
+        kpo = 2
+    else:
+        kpo = config.kpo_dim if config.kpo_levels is None else config.kpo_levels
+    return (config.bus_dim,) + (kpo,) * config.n_qubits
 
 
-def _static_parts(config: GateConfig, effective: bool):
-    """(N0, H_rest, C) with H_segment = Δ·N0 + H_rest + J·C."""
-    if effective:
-        space = config.qubit_space
-        n0 = model.number_op(space, "a0").matrix
-        h_rest = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-        a0 = annihilation(space, "a0")
-        c = (2.0 * config.alpha) * (model.sx_total(config) @ (a0 + dagger(a0)))
-        return space, n0, h_rest, c.matrix
-    space = config.space
-    n0 = model.number_op(space, "a0").matrix
-    h_rest = None
-    a0d = dagger(annihilation(space, "a0"))
-    c = None
-    for n in range(1, config.n_qubits + 1):
-        hk = model.h_kerr(config, config.kpo_label(n)).matrix
-        h_rest = hk if h_rest is None else h_rest + hk
-        cross = annihilation(space, config.kpo_label(n)) @ a0d
-        cm = (cross + dagger(cross)).matrix
-        c = cm if c is None else c + cm
-    return space, n0.tocsr(), h_rest.tocsr(), c.tocsr()
+class GateModel:
+    """Segment generator Δ·n0 + h_rest + J·c on `space`, with Lindblad `channels`.
 
-
-def _segment_generators(config: GateConfig, schedule: Schedule, effective: bool):
-    space, n0, h_rest, c = _static_parts(config, effective)
-    segs = []
-    for t0, t1, d, j, _ in schedule.segments():
-        h = (d * n0 + h_rest + j * c).tocsr()
-        segs.append((h, t1 - t0))
-    return space, segs
-
-
-class _ReducedModel:
-    """Full model expressed in the low-lying Kerr eigenlevels of each KPO.
-
-    The cat manifold tops the Kerr spectrum, so keeping the kpo_levels highest
-    eigenstates preserves the gate dynamics while shrinking both the dimension
-    and the spectral spread that limits the integrator step size. The bus mode
-    keeps its Fock basis.
+    The bus keeps its Fock basis and its loss (κ0) and dephasing (γ0)
+    channels. Every KPO is one single-mode description, embedded at each KPO
+    position: its Hamiltonian h1, its coupling operator k1, which enters as
+    J(k_n a0† + h.c.), its channels (rate, op), and `cats`, the |C±⟩
+    amplitudes in its basis. `leaks` is False when that basis is the cat
+    manifold itself, where P_C ≡ 1 measures nothing.
     """
 
-    def __init__(self, config: GateConfig):
-        from .hilbert import make_space, number_op, tensor_embed
+    def __init__(self, config: GateConfig, mode: str, h1, k1, kpo_channels, cats):
+        self.space = space = make_space(model_dims(config, mode))
+        self.cats = cats
+        self.leaks = mode != "effective"
+        sp1 = make_space([space.mode_dims[1]])
 
+        def embed(m, n):
+            return tensor_embed(SparseOperator(sp1, m), space, n)
+
+        a0, n0 = annihilation(space, 0), number_op(space, 0)
+        kpos = range(1, config.n_qubits + 1)
+        self.n0 = n0.matrix
+        self.h_rest = sum(embed(h1, n).matrix for n in kpos).tocsr()
+        crosses = [embed(k1, n) @ dagger(a0) for n in kpos]
+        self.c = sum((x + dagger(x)).matrix for x in crosses).tocsr()
+        bus = [(config.kappa0, a0), (config.gamma0, n0)]
+        self.channels = [CollapseChannel(r, op) for r, op in bus if r > 0] + [
+            CollapseChannel(r, embed(op, n)) for n in kpos for r, op in kpo_channels if r > 0
+        ]
+
+    @classmethod
+    def effective(cls, config: GateConfig) -> GateModel:
+        """Qubit-level model: each KPO is its cat manifold (|C+⟩, |C−⟩).
+
+        k_n = α σx_n, and photon loss becomes the biased flip σx + i·e^{−2α²}σy
+        at rate κα²/√(1 − e^{−4α²}). KPO dephasing would enter as γα⁴·D[I],
+        which vanishes identically, so it has no channel.
+        """
+        alpha = config.alpha
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, 1j], [-1j, 0]], dtype=complex)
+        flip = sx + (1j * np.exp(-2.0 * alpha**2)) * sy
+        rate = config.kappa * alpha**2 / np.sqrt(1.0 - np.exp(-4.0 * alpha**2))
+        eye = np.eye(2, dtype=complex)
+        cats = {CatParity.EVEN: eye[0], CatParity.ODD: eye[1]}
+        return cls(config, "effective", np.zeros((2, 2)), alpha * sx, [(rate, flip)], cats)
+
+    @classmethod
+    def fock(cls, config: GateConfig) -> GateModel:
+        """Full model in the kpo_dim Fock levels of each KPO (kpo_levels unset)."""
+        sp1 = make_space([config.kpo_dim])
+        a, n = annihilation(sp1, 0).matrix, number_op(sp1, 0).matrix
+        h1 = h_kerr_single(config.kerr, config.omega_p, config.kpo_dim).matrix
+        cats = {p: single_mode_cat_vector(config.kpo_dim, config.alpha, p) for p in CatParity}
+        return cls(config, "full", h1, a, [(config.kappa, a), (config.gamma, n)], cats)
+
+    @classmethod
+    def kerr_levels(cls, config: GateConfig) -> GateModel:
+        """Full model in the kpo_levels highest Kerr eigenlevels of each KPO.
+
+        The cat manifold tops the Kerr spectrum, so keeping the highest
+        eigenstates preserves the gate dynamics while shrinking both the
+        dimension and the spectral spread that limits the integrator step
+        size. With V the level isometry, the KPO operators are diag(E), V†aV
+        and V†nV, and the cats are V†|C±⟩, renormalised.
+        """
         levels = config.kpo_levels
         if levels is None:
             raise ValueError("config.kpo_levels is not set")
-        self.config = config
-        energies, v = model.kerr_level_isometry(
-            config.kerr, config.omega_p, config.kpo_dim, levels
-        )
-        self.isometry = v
+        energies, v = kerr_level_isometry(config.kerr, config.omega_p, config.kpo_dim, levels)
         a1 = np.diag(np.sqrt(np.arange(1, config.kpo_dim)), 1).astype(complex)
         a_red = v.conj().T @ a1 @ v
         n_red = v.conj().T @ (a1.conj().T @ a1) @ v
-        dims = [config.bus_dim] + [levels] * config.n_qubits
-        labels = ["a0"] + [f"a{n}" for n in range(1, config.n_qubits + 1)]
-        self.space = make_space(dims, labels)
-        sp1 = make_space([levels], ["a"])
-        self._embed = lambda m, lbl: tensor_embed(
-            SparseOperator(sp1, sp.csr_matrix(m)), self.space, lbl
-        )
-        self.n0 = number_op(self.space, "a0").matrix.tocsr()
-        a0d = dagger(annihilation(self.space, "a0"))
-        h_rest = None
-        c = None
-        self._a_red, self._n_red = a_red, n_red
-        for n in range(1, config.n_qubits + 1):
-            lbl = config.kpo_label(n)
-            hk = self._embed(np.diag(energies), lbl).matrix
-            h_rest = hk if h_rest is None else h_rest + hk
-            cross = self._embed(a_red, lbl) @ a0d
-            cm = (cross + dagger(cross)).matrix
-            c = cm if c is None else c + cm
-        self.h_rest = h_rest.tocsr()
-        self.c = c.tocsr()
-        self.cat_red = {}
-        for parity in (CatParity.EVEN, CatParity.ODD):
-            amps = single_mode_cat_vector(config.kpo_dim, config.alpha, parity)
-            red = v.conj().T @ amps
+        cats = {}
+        for parity in CatParity:
+            red = v.conj().T @ single_mode_cat_vector(config.kpo_dim, config.alpha, parity)
             norm = np.linalg.norm(red)
             if norm < 1.0 - 1e-6:
                 raise ValueError(
                     f"cat state loses {1 - norm:.2e} weight in {levels} levels"
                 )
-            self.cat_red[parity] = red / norm
-
-    def segment_generators(self, schedule: Schedule):
-        segs = []
-        for t0, t1, d, j, _ in schedule.segments():
-            segs.append(((d * self.n0 + self.h_rest + j * self.c).tocsr(), t1 - t0))
-        return segs
-
-    def collapse_channels(self):
-        from .hilbert import number_op
-        from .model import CollapseChannel
-
-        cfg = self.config
-        out = []
-        if cfg.kappa0 > 0:
-            out.append(CollapseChannel(cfg.kappa0, annihilation(self.space, "a0")))
-        if cfg.gamma0 > 0:
-            out.append(CollapseChannel(cfg.gamma0, number_op(self.space, "a0")))
-        for n in range(1, cfg.n_qubits + 1):
-            lbl = cfg.kpo_label(n)
-            if cfg.kappa > 0:
-                out.append(CollapseChannel(cfg.kappa, self._embed(self._a_red, lbl)))
-            if cfg.gamma > 0:
-                out.append(CollapseChannel(cfg.gamma, self._embed(self._n_red, lbl)))
-        return out
+            cats[parity] = red / norm
+        return cls(config, "full", np.diag(energies), a_red,
+                   [(config.kappa, a_red), (config.gamma, n_red)], cats)
 
     def basis_vector(self, qbs: QubitBasisState) -> np.ndarray:
-        bus = np.zeros(self.config.bus_dim, dtype=complex)
-        bus[qbs.bus_fock] = 1.0
-        v = bus
+        """|bus_fock⟩ ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on `space`."""
+        v = np.zeros(self.space.mode_dims[0], dtype=complex)
+        v[qbs.bus_fock] = 1.0
         for parity in qbs.parities:
-            v = np.kron(v, self.cat_red[parity])
+            v = np.kron(v, self.cats[parity])
         return v
-
-    def target_state(self, input_state: QubitBasisState) -> np.ndarray:
-        target = ms_target_matrix(self.config.n_qubits)
-        col = target[:, input_state.index]
-        amps = np.zeros(self.space.dim, dtype=complex)
-        for k, b in enumerate(all_basis_states(self.config.n_qubits,
-                                               bus_fock=input_state.bus_fock)):
-            if abs(col[k]) > 0:
-                amps += col[k] * self.basis_vector(b)
-        return amps
-
-    def f_out(self, state, input_state: QubitBasisState) -> float:
-        from .states import fidelity
-
-        tgt = StateVector(self.space, self.target_state(input_state))
-        return fidelity(state, tgt)
-
-    def p_c(self, state) -> float:
-        cat_rows = np.stack([
-            self.cat_red[parity].conj()
-            for parity in (CatParity.EVEN, CatParity.ODD)
-        ])
-        amap = _cat_manifold_map(self.config.bus_dim, cat_rows,
-                                 self.config.n_qubits)
-        return _joint_cat_population(state, amap)
 
 
 def run_gate(config: GateConfig, schedule: Schedule | None = None,
@@ -498,6 +406,8 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
              store_final: bool = False) -> GateRunResult:
     """Simulate the gate to the end of the schedule and compute its metrics.
 
+    Mode "effective" runs GateModel.effective; mode "full" runs
+    GateModel.kerr_levels when config.kpo_levels is set, else GateModel.fock.
     Coherent runs (all decay rates zero) propagate the full computational basis
     and report the average gate fidelity; dissipative runs evolve the density
     matrix of `input_state` (default: all qubits in |C+>) and report F_out and,
@@ -514,100 +424,45 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     result = GateRunResult(mode=mode, t_end=t_end,
                            chi_residual=abs(chi_res), beta_total=beta_tot)
 
+    if mode == "effective":
+        model = GateModel.effective(config)
+    elif config.kpo_levels is None:
+        model = GateModel.fock(config)
+    else:
+        model = GateModel.kerr_levels(config)
+    space = model.space
+    segs = [((d * model.n0 + model.h_rest + j * model.c).tocsr(), t1 - t0)
+            for t0, t1, d, j, _ in sched.segments()]
+    unrotate = np.exp(1j * sched.phase(t_end) * model.n0.diagonal().real)
+    n = config.n_qubits
+
     decohering = any(
         r > 0 for r in (config.kappa0, config.gamma0, config.kappa, config.gamma)
     )
-    effective = mode == "effective"
-    reduced = None
-    if not effective and config.kpo_levels is not None:
-        reduced = _ReducedModel(config)
-        space = reduced.space
-        segs = reduced.segment_generators(sched)
-    else:
-        space, segs = _segment_generators(config, sched, effective)
-    n0diag = _bus_number_diag(space)
-    phase_end = sched.phase(t_end)
-    unrotate = np.exp(1j * phase_end * n0diag)
-
-    n = config.n_qubits
-    target = ms_target_matrix(n)
-
     if not decohering:
-        if effective:
-            columns = [_qubit_basis_vector(space, config, k) for k in range(2**n)]
-        elif reduced is not None:
-            columns = [reduced.basis_vector(b) for b in all_basis_states(n)]
-        else:
-            columns = [
-                basis_state(config, b).amplitudes for b in all_basis_states(n)
-            ]
+        columns = [model.basis_vector(b) for b in all_basis_states(n)]
         finals = [unrotate * propagate_piecewise(segs, v, expm_tol) for v in columns]
         b = np.stack(columns, axis=1)
         u = np.stack(finals, axis=1)
-        w = b.conj().T @ u
-        m = target.conj().T @ w
+        m = ms_target_matrix(n).conj().T @ (b.conj().T @ u)
         result.propagator = m
         result.f_avg = average_gate_fidelity(m)
-        if input_state is not None:
-            psi = StateVector(space, finals[input_state.index])
-            if reduced is not None:
-                result.f_out = reduced.f_out(psi, input_state)
-                result.p_c = reduced.p_c(psi)
-            else:
-                result.f_out = _output_fid(psi, config, input_state, effective)
-                if not effective:
-                    result.p_c = no_leakage(psi, config)
-            if store_final:
-                result.final_state = psi
-        return result
-
-    if input_state is None:
-        input_state = QubitBasisState((CatParity.EVEN,) * n)
-    if effective:
-        psi0 = StateVector(space, _qubit_basis_vector(space, config, input_state.index))
-        channels = model.collapse_ops_effective(config)
-    elif reduced is not None:
-        psi0 = StateVector(space, reduced.basis_vector(input_state))
-        channels = reduced.collapse_channels()
+        if input_state is None:
+            return result
+        state = StateVector(space, finals[input_state.index])
     else:
-        psi0 = basis_state(config, input_state)
-        channels = model.collapse_ops_full(config)
-    rho = psi0.outer()
-    settings = settings or IntegratorSettings(rtol=1e-7, atol=1e-9)
-    t0 = 0.0
-    for h, dt in segs:
-        hop = SparseOperator(space, h)
-        res = evolve_density(hop, channels, rho, (0.0, dt), settings,
-                             check_positivity=False)
-        rho = res.final
-        t0 += dt
-    rho = DensityMatrix(space, (unrotate[:, None] * rho.entries) * unrotate.conj()[None, :])
-    if reduced is not None:
-        result.f_out = reduced.f_out(rho, input_state)
-        result.p_c = reduced.p_c(rho)
-    else:
-        result.f_out = _output_fid(rho, config, input_state, effective)
-        if not effective:
-            result.p_c = no_leakage(rho, config)
+        if input_state is None:
+            input_state = QubitBasisState((CatParity.EVEN,) * n)
+        rho = StateVector(space, model.basis_vector(input_state)).outer()
+        settings = settings or IntegratorSettings(rtol=1e-7, atol=1e-9)
+        for h, dt in segs:
+            res = evolve_density(SparseOperator(space, h), model.channels, rho, (0.0, dt),
+                                 settings, check_positivity=False)
+            rho = res.final
+        state = DensityMatrix(space, (unrotate[:, None] * rho.entries) * unrotate.conj()[None, :])
+    result.f_out = output_fidelity(state, model, input_state)
+    if model.leaks:
+        result.p_c = no_leakage(state, model)
     if store_final:
-        result.final_state = rho
+        result.final_state = state
     return result
-
-
-def _qubit_basis_vector(space, config: GateConfig, index: int) -> np.ndarray:
-    v = np.zeros(space.dim, dtype=complex)
-    # bus |0> is the leading block; qubit bits are the fast indices
-    v[index] = 1.0
-    return v
-
-
-def _output_fid(state, config: GateConfig, input_state: QubitBasisState,
-                effective: bool) -> float:
-    from .states import fidelity
-
-    if not effective:
-        return output_fidelity(state, config, input_state)
-    target = ms_target_matrix(config.n_qubits)
-    amps = np.zeros(state.space.dim, dtype=complex)
-    amps[: 2**config.n_qubits] = target[:, input_state.index]
-    return fidelity(state, StateVector(state.space, amps))

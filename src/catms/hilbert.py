@@ -132,11 +132,6 @@ class SparseOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def norm_max(self) -> float:
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(np.abs(self.matrix.data).max())
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         d = self.matrix - self.matrix.getH()
         return d.nnz == 0 or float(np.abs(d.data).max()) < tol
@@ -146,16 +141,8 @@ def identity(space: HilbertSpace) -> SparseOperator:
     return SparseOperator(space, sp.identity(space.dim, dtype=complex, format="csr"))
 
 
-def zero_operator(space: HilbertSpace) -> SparseOperator:
-    return SparseOperator(space, sp.csr_matrix((space.dim, space.dim), dtype=complex))
-
-
 def dagger(op: SparseOperator) -> SparseOperator:
     return SparseOperator(op.space, op.matrix.getH().tocsr())
-
-
-def mul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a @ b
 
 
 # --- states ----------------------------------------------------------------
@@ -216,9 +203,6 @@ class DensityMatrix:
         if w.min() < -eig_tol:
             raise ValueError("density matrix has a negative eigenvalue")
 
-    def symmetrized(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, (self.entries + self.entries.conj().T) / 2)
-
 
 # --- single-mode builders and embedding ------------------------------------
 
@@ -226,10 +210,6 @@ class DensityMatrix:
 def _annihilation_matrix(dim: int) -> sp.csr_matrix:
     data = np.sqrt(np.arange(1, dim, dtype=float))
     return sp.diags(data, offsets=1, format="csr", dtype=complex)
-
-
-def single_mode_space(dim: int, label: str = "a") -> HilbertSpace:
-    return make_space([dim], [label])
 
 
 def annihilation(space: HilbertSpace, mode) -> SparseOperator:

@@ -1,4 +1,4 @@
-"""Hamiltonians, collapse channels, projectors, and gap/leakage estimates.
+"""Gate configuration, schedules, Hamiltonians and the cat-manifold projector.
 
 Units: all rates and angular frequencies are rad/us. A parameter quoted as
 "X/2pi = v MHz" enters as X = 2*pi*v; a bare "kappa = v MHz" enters as
@@ -18,16 +18,10 @@ from .hilbert import (
     SparseOperator,
     annihilation,
     dagger,
-    identity,
     make_space,
-    number_op,
     tensor_embed,
 )
-from .states import (
-    CatParity,
-    single_mode_cat_vector,
-    single_mode_excited_cat_vector,
-)
+from .states import CatParity, single_mode_cat_vector
 
 TWO_PI = 2.0 * np.pi
 
@@ -211,15 +205,6 @@ def h_kerr_single(kerr: float, omega_p: float, dim: int) -> SparseOperator:
     return (-kerr) * (dagger(a2) @ a2) + omega_p * (a2 + dagger(a2))
 
 
-def h_kerr(config: GateConfig, mode) -> SparseOperator:
-    """Kerr-oscillator Hamiltonian of one KPO, embedded in the full space."""
-    k = config.space.mode_index(mode)
-    if k == 0:
-        raise ValueError("mode 0 is the bus cavity, not a KPO")
-    single = h_kerr_single(config.kerr, config.omega_p, config.space.mode_dims[k])
-    return tensor_embed(single, config.space, mode)
-
-
 def kerr_level_isometry(kerr: float, omega_p: float, dim: int, n_levels: int):
     """(energies, isometry) of the n_levels highest single-KPO eigenstates.
 
@@ -253,52 +238,6 @@ def h_displaced(config: GateConfig, sign: int, dim: int | None = None) -> Sparse
         cubic + dagger(cubic)
     )
     return (-config.kerr) * body
-
-
-def h_int(config: GateConfig, t: float, phase: float | None = None) -> SparseOperator:
-    """Bus-KPO coupling Σ_n J a_n a0† e^{iΔt} + h.c. at one instant.
-
-    phase overrides Δ·t for schedules with accumulated detuning phase.
-    """
-    ph = config.delta * t if phase is None else phase
-    space = config.space
-    a0d = dagger(annihilation(space, "a0"))
-    term = None
-    for n in range(1, config.n_qubits + 1):
-        an = annihilation(space, config.kpo_label(n))
-        piece = config.j_coupling * (an @ a0d)
-        term = piece if term is None else term + piece
-    term = np.exp(1j * ph) * term
-    return term + dagger(term)
-
-
-def h_total(config: GateConfig, t: float, phase: float | None = None) -> SparseOperator:
-    """Full interaction-picture Hamiltonian at one instant."""
-    h = h_int(config, t, phase)
-    for n in range(1, config.n_qubits + 1):
-        h = h + h_kerr(config, config.kpo_label(n))
-    return h
-
-
-def h_static_frame(
-    config: GateConfig, delta: float | None = None, j_coupling: float | None = None
-) -> SparseOperator:
-    """Time-independent generator in the bus rotating frame.
-
-    H~ = Δ a0†a0 + Σ_n H_kerr,n + J Σ_n (a_n a0† + h.c.); the interaction
-    picture state is recovered as ψ(t) = e^{+iφ(t) a0†a0} e^{-i H~ t} ψ(0)
-    with φ(t) = Δ t (or the schedule's accumulated phase).
-    """
-    delta = config.delta if delta is None else delta
-    j = config.j_coupling if j_coupling is None else j_coupling
-    space = config.space
-    h = delta * number_op(space, "a0")
-    a0d = dagger(annihilation(space, "a0"))
-    for n in range(1, config.n_qubits + 1):
-        h = h + h_kerr(config, config.kpo_label(n))
-        cross = j * (annihilation(space, config.kpo_label(n)) @ a0d)
-        h = h + cross + dagger(cross)
-    return h
 
 
 # --- qubit-level (cat-manifold) operators ------------------------------------
@@ -335,64 +274,7 @@ def h_eff_spin_boson(config: GateConfig, t: float, phase: float | None = None) -
     return (2.0 * config.j_coupling * config.alpha) * (sx_total(config) @ bus)
 
 
-def h_eff_static_frame(
-    config: GateConfig, delta: float | None = None, j_coupling: float | None = None
-) -> SparseOperator:
-    """Rotating-frame version of h_eff_spin_boson: Δ a0†a0 + 2Jα S_x (a0 + a0†)."""
-    delta = config.delta if delta is None else delta
-    j = config.j_coupling if j_coupling is None else j_coupling
-    space = config.qubit_space
-    a0 = annihilation(space, "a0")
-    return delta * number_op(space, "a0") + (2.0 * j * config.alpha) * (
-        sx_total(config) @ (a0 + dagger(a0))
-    )
-
-
-# --- collapse operators -------------------------------------------------------
-
-
-def collapse_ops_full(config: GateConfig) -> list[CollapseChannel]:
-    """Lindblad channels of the full master equation (rates kept separate)."""
-    space = config.space
-    out = []
-    if config.kappa0 > 0:
-        out.append(CollapseChannel(config.kappa0, annihilation(space, "a0")))
-    if config.gamma0 > 0:
-        out.append(CollapseChannel(config.gamma0, number_op(space, "a0")))
-    for n in range(1, config.n_qubits + 1):
-        lbl = config.kpo_label(n)
-        if config.kappa > 0:
-            out.append(CollapseChannel(config.kappa, annihilation(space, lbl)))
-        if config.gamma > 0:
-            out.append(CollapseChannel(config.gamma, number_op(space, lbl)))
-    return out
-
-
-def collapse_ops_effective(config: GateConfig) -> list[CollapseChannel]:
-    """Qubit-level channels: biased bit flip per KPO plus unchanged bus channels.
-
-    The dephasing term enters as gamma*alpha^4 * D[identity], which vanishes on
-    any state; it is kept so the channel count is auditable.
-    """
-    space = config.qubit_space
-    alpha = config.alpha
-    out = []
-    if config.kappa0 > 0:
-        out.append(CollapseChannel(config.kappa0, annihilation(space, "a0")))
-    if config.gamma0 > 0:
-        out.append(CollapseChannel(config.gamma0, number_op(space, "a0")))
-    y_weight = np.exp(-2.0 * alpha**2)
-    rate = config.kappa * alpha**2 / np.sqrt(1.0 - np.exp(-4.0 * alpha**2))
-    for n in range(1, config.n_qubits + 1):
-        if config.kappa > 0:
-            op = pauli(space, n, "x") + (1j * y_weight) * pauli(space, n, "y")
-            out.append(CollapseChannel(rate, op))
-        if config.gamma > 0:
-            out.append(CollapseChannel(config.gamma * alpha**4, identity(space)))
-    return out
-
-
-# --- projectors and analytic estimates ---------------------------------------
+# --- projector and gap estimate ----------------------------------------------
 
 
 def projector_cat(config: GateConfig) -> SparseOperator:
@@ -403,35 +285,13 @@ def projector_cat(config: GateConfig) -> SparseOperator:
     )
     p = tensor_embed(SparseOperator(make_space([config.bus_dim], ["b"]), bus), space, "a0")
     for n in range(1, config.n_qubits + 1):
-        p = p @ _mode_manifold_projector(config, n, include_excited=False)
+        p = p @ _mode_manifold_projector(config, n)
     return p
 
 
-def projector_kpo(config: GateConfig, levels: int = 1) -> SparseOperator:
-    """Per-KPO projector onto the cat manifold plus the first excited manifold.
-
-    Truncated at levels=1 (displaced single-photon states); bus left identity.
-    """
-    if levels != 1:
-        raise ValueError("only the first excited manifold is supported")
-    p = identity(config.space)
-    for n in range(1, config.n_qubits + 1):
-        p = p @ _mode_manifold_projector(config, n, include_excited=True)
-    return p
-
-
-def _mode_manifold_projector(config: GateConfig, n: int, include_excited: bool) -> SparseOperator:
+def _mode_manifold_projector(config: GateConfig, n: int) -> SparseOperator:
     dim = config.kpo_dim
-    vecs = [
-        single_mode_cat_vector(dim, config.alpha, CatParity.EVEN),
-        single_mode_cat_vector(dim, config.alpha, CatParity.ODD),
-    ]
-    if include_excited:
-        vecs += [
-            single_mode_excited_cat_vector(dim, config.alpha, CatParity.EVEN),
-            single_mode_excited_cat_vector(dim, config.alpha, CatParity.ODD),
-        ]
-    b = np.stack(vecs, axis=1)
+    b = np.stack([single_mode_cat_vector(dim, config.alpha, p) for p in CatParity], axis=1)
     proj = sp.csr_matrix(b @ b.conj().T)
     single = SparseOperator(make_space([dim], ["a"]), proj)
     return tensor_embed(single, config.space, config.kpo_label(n))
@@ -440,11 +300,3 @@ def _mode_manifold_projector(config: GateConfig, n: int, include_excited: bool) 
 def energy_gap(config: GateConfig) -> float:
     """Cat-to-excited-manifold gap, E_gap ≈ 4Kα² (rad/us)."""
     return 4.0 * config.kerr * config.alpha**2
-
-
-def leakage_estimate(config: GateConfig) -> float:
-    """Order-of-magnitude excitation probability N J² / (E_gap + Δ)².
-
-    Diagnostic only; never used to gate simulation accuracy.
-    """
-    return config.n_qubits * config.j_coupling**2 / (energy_gap(config) + config.delta) ** 2

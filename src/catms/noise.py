@@ -58,19 +58,6 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def stochastic_trace(spec: StochasticNoiseSpec, base_value: float, t_g: float,
-                     rng: np.random.Generator | None = None):
-    """Piecewise-constant trace (times, values) over n_events equal sub-intervals.
-
-    Each level is base_value * (1 + u) with u uniform in (-eps_s, eps_s).
-    """
-    if rng is None:
-        rng = _generator(spec.seed)
-    times = np.linspace(0.0, t_g, spec.n_events + 1)
-    u = rng.uniform(-spec.eps_s, spec.eps_s, spec.n_events)
-    return times, base_value * (1.0 + u)
-
-
 def noisy_schedule(config: GateConfig, spec: StochasticNoiseSpec, t_g: float) -> Schedule:
     """Schedule with independent random levels on each target, fixed draw order.
 

@@ -222,12 +222,14 @@ def design_single_qubit_drive(target: str, alpha: float, t_gate: float,
     the cat-subspace parameter map of effective_single_qubit for a real
     single-photon drive; the Josephson path divides by josephson_splitting(α).
     """
-    theta = {"hadamard": np.pi / 4.0, "not": np.pi / 2.0}.get(target)
-    if theta is None:
+    # (sin θ_rot, cos θ_rot); NOT needs cos(π/2) = 0 exactly, where np.cos gives 6e-17
+    sin_cos = {"hadamard": (np.sin(np.pi / 4.0), np.cos(np.pi / 4.0)), "not": (1.0, 0.0)}
+    if target not in sin_cos:
         raise ValueError("target must be 'hadamard' or 'not'")
+    sin_t, cos_t = sin_cos[target]
     xi = np.pi / (2.0 * t_gate)
-    omega_1 = xi * np.sin(theta)
-    dtilde = 2.0 * xi * np.cos(theta)
+    omega_1 = xi * sin_t
+    dtilde = 2.0 * xi * cos_t
     a2 = alpha**2
     xi_p = omega_1 / (alpha * (np.sqrt(np.tanh(a2)) + np.sqrt(1.0 / np.tanh(a2))))
     if dtilde == 0.0:

@@ -135,10 +135,6 @@ def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndar
     return _single_mode_cat(dim, alpha, parity, fock_seed=0)
 
 
-def single_mode_excited_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndarray:
-    return _single_mode_cat(dim, alpha, parity, fock_seed=1)
-
-
 def excited_cat_exact(space: HilbertSpace, mode, kerr_op: SparseOperator, parity: CatParity) -> StateVector:
     """Validation variant: first-excited eigenvector of a single-mode Kerr Hamiltonian.
 

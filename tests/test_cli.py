@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -145,6 +146,33 @@ def test_estimate_resources_examples():
     est4 = cli.estimate_resources(s4)
     assert not est4.density
     assert est4.bytes_required == 10 * 25**4 * 16  # ~60 MiB state vector
+
+
+def test_estimate_resources_size_the_model_of_each_grid_point(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    # the bus_rate grid makes every point a density-matrix run; kpo_levels 6 gives dim 10·6²
+    est = cli.estimate_resources(cli.load_spec(configs / "fig2a_bus_decoherence.json"))
+    assert est.density and est.bytes_required == 360**2 * 16 == 2_073_600
+    est = cli.estimate_resources(cli.load_spec(configs / "fig2b_photon_loss_vs_alpha.json"))
+    assert est.density and est.bytes_required == 2_073_600
+    doc = json.loads((configs / "fig2c_dephasing.json").read_text())
+    doc["config"]["n_qubits"] = 3
+    spec = cli.load_spec(_write(tmp_path, doc))
+    est = cli.estimate_resources(spec)
+    assert est.density and est.bytes_required == 2160**2 * 16 == 74_649_600
+    assert est.bytes_required <= spec.ceiling_bytes  # not refused
+
+
+def test_csv_cells_are_numbers(tmp_path):
+    # a switched run's t_g is a NumPy scalar; it must still be written as a plain number
+    p = _write(tmp_path, _base_doc(kind="switch_demo", grid={"eps_a": [0.05]}))
+    assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_OK
+    with open(tmp_path / "out" / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["t_g"] != ""
+    for cell in rows[0].values():
+        if cell != "":  # metrics a coherent run does not compute stay empty
+            float(cell)
 
 
 def test_combined_fig4_full_mode_limited_to_two_qubits(tmp_path):

@@ -10,7 +10,6 @@ from catms.dynamics import (
     expm_apply,
     hermitian_shift,
     propagate_piecewise,
-    propagator_on_subspace,
 )
 from catms.hilbert import (
     SparseOperator,
@@ -133,13 +132,6 @@ def test_propagate_piecewise_unitary_and_composed():
     )
     assert np.abs(out - ref).max() < 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_propagator_on_subspace_requires_orthonormal_basis():
-    space, h, psi0 = _two_level_rabi()
-    bad = StateVector(space, np.array([1.0, 1.0], dtype=complex))  # unnormalized
-    with pytest.raises(ValueError):
-        propagator_on_subspace(h, [psi0, bad], (0.0, 0.1))
 
 
 def test_integrator_settings_validation():

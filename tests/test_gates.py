@@ -3,7 +3,8 @@ import pytest
 
 from catms import gates
 from catms.model import GateConfig, Schedule
-from catms.states import CatParity, QubitBasisState, basis_state
+from catms.hilbert import StateVector
+from catms.states import CatParity, QubitBasisState, all_basis_states, basis_state
 
 
 def _cfg(**kw):
@@ -109,14 +110,17 @@ def test_run_gate_reduced_basis_matches_full():
 def test_no_leakage_on_pure_cat_product():
     cfg = _cfg(bus_dim=4, kpo_dim=16)
     psi = basis_state(cfg, QubitBasisState((CatParity.EVEN, CatParity.ODD)))
-    assert gates.no_leakage(psi, cfg) == pytest.approx(1.0, abs=1e-10)
+    assert gates.no_leakage(psi, gates.GateModel.fock(cfg)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_output_fidelity_of_ideal_output():
     cfg = _cfg(bus_dim=4, kpo_dim=16)
     inp = QubitBasisState((CatParity.EVEN, CatParity.EVEN))
-    out = gates.ideal_output_state(cfg, inp)
-    assert gates.output_fidelity(out, cfg, inp) == pytest.approx(1.0, abs=1e-10)
+    col = gates.ms_target_matrix(2)[:, inp.index]
+    out = StateVector(cfg.space, sum(c * basis_state(cfg, b).amplitudes
+                                     for c, b in zip(col, all_basis_states(2))))
+    model = gates.GateModel.fock(cfg)
+    assert gates.output_fidelity(out, model, inp) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_run_gate_rejects_unknown_mode():

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from catms.hilbert import make_space
+from catms.gates import GateModel
+from catms.hilbert import SparseOperator, make_space
 from catms.model import (
     GateConfig,
     Schedule,
-    collapse_ops_effective,
-    collapse_ops_full,
     energy_gap,
     h_displaced,
     h_eff_spin_boson,
-    h_int,
     h_kerr_single,
-    h_static_frame,
-    h_total,
     kerr_level_isometry,
     pauli,
     projector_cat,
@@ -93,9 +89,11 @@ def test_displaced_frame_vacuum_eigenstate():
 
 def test_hamiltonians_hermitian():
     cfg = _cfg(bus_dim=4, kpo_dim=8)
-    assert h_int(cfg, 0.123).is_hermitian(1e-10)
-    assert h_total(cfg, 0.123).is_hermitian(1e-10)
-    assert h_static_frame(cfg).is_hermitian(1e-10)
+    models = (GateModel.effective(cfg), GateModel.fock(cfg),
+              GateModel.kerr_levels(_cfg(bus_dim=4, kpo_dim=20, kpo_levels=6)))
+    for m in models:
+        # a segment generator Δ·n0 + h_rest + J·c, at arbitrary Δ and J
+        assert SparseOperator(m.space, 1.7 * m.n0 + m.h_rest + 0.9 * m.c).is_hermitian(1e-10)
     assert h_eff_spin_boson(cfg, 0.123).is_hermitian(1e-10)
 
 
@@ -115,13 +113,14 @@ def test_pauli_algebra():
 
 def test_collapse_channel_counts():
     cfg = _cfg(kappa=0.1, gamma=0.2, kappa0=0.3, gamma0=0.4, bus_dim=4, kpo_dim=6)
-    assert len(collapse_ops_full(cfg)) == 2 + 2 * cfg.n_qubits
-    assert len(collapse_ops_effective(cfg)) == 2 + 2 * cfg.n_qubits
+    assert len(GateModel.fock(cfg).channels) == 2 + 2 * cfg.n_qubits
+    # no KPO dephasing channel: it would be γα⁴·D[I], which vanishes identically
+    assert len(GateModel.effective(cfg).channels) == 2 + cfg.n_qubits
 
 
 def test_effective_bit_flip_rate():
     cfg = _cfg(kappa=0.1, bus_dim=4)
-    chans = collapse_ops_effective(cfg)
+    chans = GateModel.effective(cfg).channels
     a2 = cfg.alpha**2
     expected = 0.1 * a2 / np.sqrt(1.0 - np.exp(-4.0 * a2))
     assert chans[0].rate == pytest.approx(expected)

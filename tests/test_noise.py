@@ -25,16 +25,16 @@ def test_spec_validation():
         noise.SystematicNoiseSpec(eps_a=0.1, targets={"phi": 1})
 
 
-def test_stochastic_trace_bounds_and_determinism():
+def test_noisy_schedule_bounds_and_determinism():
+    cfg = _cfg()
     spec = noise.StochasticNoiseSpec(eps_s=0.1, seed=42, n_events=500)
-    t1, v1 = noise.stochastic_trace(spec, 3.0, 1.0)
-    t2, v2 = noise.stochastic_trace(spec, 3.0, 1.0)
-    assert np.array_equal(v1, v2)
-    assert len(v1) == 500 and len(t1) == 501
-    assert np.all(np.abs(v1 / 3.0 - 1.0) <= 0.1)
-    v3 = noise.stochastic_trace(noise.StochasticNoiseSpec(0.1, seed=43, n_events=500),
-                                3.0, 1.0)[1]
-    assert not np.array_equal(v1, v3)
+    s1 = noise.noisy_schedule(cfg, spec, 1.0)
+    s2 = noise.noisy_schedule(cfg, spec, 1.0)
+    assert np.array_equal(s1.j_coupling, s2.j_coupling)
+    assert len(s1.j_coupling) == 500 and len(s1.times) == 501
+    assert np.all(np.abs(s1.j_coupling / cfg.j_coupling - 1.0) <= 0.1)
+    s3 = noise.noisy_schedule(cfg, noise.StochasticNoiseSpec(0.1, seed=43, n_events=500), 1.0)
+    assert not np.array_equal(s1.j_coupling, s3.j_coupling)
 
 
 def test_noisy_schedule_targets():

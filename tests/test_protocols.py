@@ -86,6 +86,9 @@ def test_design_drive_round_trip():
             xi, theta_rot = protocols.rotation_parameters(dtilde, omega_1)
             assert xi * t_gate == pytest.approx(np.pi / 2.0, rel=1e-12)
             assert theta_rot == pytest.approx(theta, rel=1e-12)
+            if target == "not":
+                # cos θ_rot = 0 exactly: no detuning, and no Josephson drive to integrate
+                assert p.delta_q == 0.0 and p.xi_j == 0.0
     with pytest.raises(ValueError):
         protocols.design_single_qubit_drive("cnot", alpha, t_gate, False)
 
