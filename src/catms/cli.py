@@ -6,7 +6,9 @@ two_pi=true the value is interpreted as v MHz quoted "X/2pi = v MHz", i.e.
 X = 2*pi*v rad/us. Grid values follow the same flag as their base parameter.
 
 Exit codes: 0 success, 2 config error, 3 resource refusal,
-4 numerical-tolerance breach.
+4 a grid point failed (a numerical-tolerance breach or any other error that
+is not a config error). A failed point still gets its CSV row, with the
+exception in the `error` cell, and the other points are kept.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -24,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import gates, noise, protocols
-from .dynamics import StiffSegment, ToleranceBreach
 from .model import GateConfig, Schedule
 
 EXIT_OK = 0
@@ -47,7 +49,7 @@ KINDS = (
 )
 
 METRIC_COLUMNS = ("t_g", "f_avg", "f_out", "p_c", "chi_residual", "beta_total",
-                  "runtime_s", "seed")
+                  "runtime_s", "seed", "error")
 
 _TWO_PI_PARAMS = ("kerr", "j_coupling", "delta", "omega_p")
 _RATE_PARAMS = ("kappa", "gamma", "kappa0", "gamma0")
@@ -240,7 +242,7 @@ def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
 def _base_record(point: dict, seed: int) -> dict:
     rec = dict(point)
     rec.update({k: "" for k in METRIC_COLUMNS})
-    rec["seed"] = seed
+    rec["seed"] = point.get("seed", seed)
     return rec
 
 
@@ -258,7 +260,28 @@ def _gate_metrics(rec: dict, result) -> dict:
 
 
 def compute_record(spec: ExperimentSpec, point: dict) -> dict:
+    """The CSV record of one grid point.
+
+    A ConfigError propagates and aborts the sweep. Any other exception is
+    reported on stderr and written to the record's `error` cell as
+    "Type: message", with the metric cells left empty, so that the sweep
+    keeps its other points.
+    """
     t_start = time.perf_counter()
+    try:
+        rec = _metrics_record(spec, point)
+    except ConfigError:
+        raise
+    except Exception as exc:  # one failed point must not lose the sweep
+        print(f"grid point {point} failed:", file=sys.stderr)
+        traceback.print_exc()
+        rec = _base_record(point, spec.seed)
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+    rec["runtime_s"] = round(time.perf_counter() - t_start, 6)
+    return rec
+
+
+def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
     rec = _base_record(point, spec.seed)
     kind = spec.kind
 
@@ -280,7 +303,6 @@ def compute_record(spec: ExperimentSpec, point: dict) -> dict:
         sched = noise.noisy_schedule(cfg, ns, gates.gate_time(cfg))
         res = gates.run_gate(cfg, schedule=sched, mode=spec.mode)
         _gate_metrics(rec, res)
-        rec["seed"] = seed
 
     elif kind == "noise_systematic":
         n = spec.raw.get("noise", {})
@@ -364,8 +386,6 @@ def compute_record(spec: ExperimentSpec, point: dict) -> dict:
 
     else:  # pragma: no cover - load_spec already validated the kind
         raise ConfigError(f"unhandled kind {kind!r}")
-
-    rec["runtime_s"] = round(time.perf_counter() - t_start, 6)
     return rec
 
 
@@ -450,15 +470,12 @@ def run(config_path: str, out_dir: str, workers: int = 1,
         return EXIT_RESOURCE
     try:
         records = run_experiment(spec, workers)
-    except (ToleranceBreach, StiffSegment) as exc:
-        print(f"numerical tolerance breach: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     csv_path = write_outputs(spec, records, out_dir, time.perf_counter() - t0)
     print(f"wrote {len(records)} records to {csv_path}")
-    return EXIT_OK
+    return EXIT_NUMERIC if any(rec["error"] for rec in records) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -56,10 +56,29 @@ class EvolutionResult:
         return self.states[-1]
 
 
-def _as_callable(h):
+def _terms(h) -> list:
+    """(matrix, f) pairs of H(t) = Σ f_k(t)·H_k; f_k is None for a static term.
+
+    h is a term list [(H_k, f_k), …] of SparseOperators and scalar functions
+    of t, or a bare SparseOperator, which is one static term.
+    """
     if isinstance(h, SparseOperator):
-        return lambda t: h
-    return h
+        h = [(h, None)]
+    return [(op.matrix, f) for op, f in h]
+
+
+def _term_sum(terms, t, apply):
+    """Σ f_k(t)·apply(H_k); apply must return a fresh array."""
+    total = None
+    for m, f in terms:
+        v = apply(m)
+        if f is not None:
+            v *= f(t)
+        if total is None:
+            total = v
+        else:
+            total += v
+    return total
 
 
 def _rk4_steps(t0: float, t1: float, dt: float):
@@ -79,16 +98,16 @@ def _output_times(t_span, t_eval):
 
 def evolve_state(h, psi0: StateVector, t_span, settings: IntegratorSettings | None = None,
                  t_eval=None) -> EvolutionResult:
-    """Integrate i dψ/dt = H(t) ψ.  h is a SparseOperator or a callable t -> SparseOperator."""
+    """Integrate i dψ/dt = H(t) ψ.  h is a SparseOperator or a term list (see _terms)."""
     settings = settings or IntegratorSettings()
-    hfun = _as_callable(h)
+    terms = _terms(h)
     times = _output_times(t_span, t_eval)
 
     def rhs(t, y):
-        return -1j * (hfun(t).matrix @ y)
+        return -1j * _term_sum(terms, t, lambda m: m @ y)
 
     states_raw = _integrate(rhs, psi0.amplitudes, t_span, times, settings,
-                            time_dependent=not isinstance(h, SparseOperator))
+                            time_dependent=any(f is not None for _, f in terms))
     drift = max(abs(np.linalg.norm(v) - 1.0) for v in states_raw)
     if drift > 1e-6:
         warnings.warn(f"state norm drifted by {drift:.2e}; tighten tolerances", stacklevel=2)
@@ -99,9 +118,12 @@ def evolve_state(h, psi0: StateVector, t_span, settings: IntegratorSettings | No
 def evolve_density(h, collapse_channels, rho0: DensityMatrix, t_span,
                    settings: IntegratorSettings | None = None, t_eval=None,
                    check_positivity: bool | None = None) -> EvolutionResult:
-    """Integrate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2."""
+    """Integrate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
+
+    h is a SparseOperator or a term list (see _terms).
+    """
     settings = settings or IntegratorSettings()
-    hfun = _as_callable(h)
+    terms = _terms(h)
     times = _output_times(t_span, t_eval)
     dim = rho0.space.dim
 
@@ -112,14 +134,13 @@ def evolve_density(h, collapse_channels, rho0: DensityMatrix, t_span,
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
-        hm = hfun(t).matrix
-        out = -1j * (hm @ rho - rho @ hm)
+        out = -1j * _term_sum(terms, t, lambda m: m @ rho - rho @ m)
         for rate, o, od, oo in ops:
             out += rate * ((o @ rho) @ od - 0.5 * (oo @ rho + rho @ oo))
         return out.ravel()
 
     states_raw = _integrate(rhs, rho0.entries.ravel(), t_span, times, settings,
-                            time_dependent=not isinstance(h, SparseOperator))
+                            time_dependent=any(f is not None for _, f in terms))
     states = []
     for v in states_raw:
         m = v.reshape(dim, dim)

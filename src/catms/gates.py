@@ -173,7 +173,7 @@ def output_fidelity(state, model: GateModel, input_state: QubitBasisState) -> fl
     n_qubits = model.space.n_modes - 1
     col = ms_target_matrix(n_qubits)[:, input_state.index]
     amps = np.zeros(model.space.dim, dtype=complex)
-    for k, b in enumerate(all_basis_states(n_qubits, bus_fock=input_state.bus_fock)):
+    for k, b in enumerate(all_basis_states(n_qubits)):
         if abs(col[k]) > 0:
             amps += col[k] * model.basis_vector(b)
     return fidelity(state, StateVector(model.space, amps))
@@ -392,9 +392,9 @@ class GateModel:
                    [(config.kappa, a_red), (config.gamma, n_red)], cats)
 
     def basis_vector(self, qbs: QubitBasisState) -> np.ndarray:
-        """|bus_fock⟩ ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on `space`."""
+        """|0⟩_bus ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on `space`."""
         v = np.zeros(self.space.mode_dims[0], dtype=complex)
-        v[qbs.bus_fock] = 1.0
+        v[0] = 1.0
         for parity in qbs.parities:
             v = np.kron(v, self.cats[parity])
         return v

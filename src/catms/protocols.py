@@ -12,11 +12,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import eval_laguerre, gammaln
 
-from .dynamics import IntegratorSettings, evolve_density, evolve_state
+from .dynamics import IntegratorSettings, _rk4_integrate, evolve_density, evolve_state
 from .gates import average_gate_fidelity
 from .hilbert import (
     DensityMatrix,
-    SparseOperator,
     StateVector,
     annihilation,
     dagger,
@@ -56,16 +55,21 @@ class CatPrepSchedule:
             raise ValueError("time outside the ramp [-t0, 0]")
 
 
-def cat_prep_hamiltonian(kerr: float, schedule: CatPrepSchedule, t: float,
-                         dim: int = 30) -> SparseOperator:
-    """Instantaneous ramp Hamiltonian Ωp(t)(a†²+a²) − Ka†²a² + Δq(t)a†a.
+def cat_prep_hamiltonian(kerr: float, schedule: CatPrepSchedule,
+                         dim: int = 30) -> list:
+    """Ramp Hamiltonian Ωp(t)(a†²+a²) − Ka†²a² + Δq(t)a†a as a term list.
 
-    Ωp(t) = K α_t² so the instantaneous cat amplitude is α_t.
+    Three static operators with scalar coefficients, for dynamics.evolve_*:
+    −Ka†²a², then a² + a†² with Ωp(t) = K α_t² (so the instantaneous cat
+    amplitude is α_t), then a†a with Δq(t).
     """
-    alpha_t = schedule.alpha_t(t)
-    omega_p = kerr * alpha_t**2
-    h = h_kerr_single(kerr, omega_p, dim)
-    return h + schedule.delta_q(t, kerr) * number_op(h.space, "a")
+    space = make_space([dim], ["a"])
+    a2 = annihilation(space, "a") @ annihilation(space, "a")
+    return [
+        (h_kerr_single(kerr, 0.0, dim), None),
+        (a2 + dagger(a2), lambda t: kerr * schedule.alpha_t(t) ** 2),
+        (number_op(space, "a"), lambda t: schedule.delta_q(t, kerr)),
+    ]
 
 
 def ramp_margin(kerr: float, schedule: CatPrepSchedule, n_samples: int = 101) -> float:
@@ -112,7 +116,7 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
     v = np.zeros(dim, dtype=complex)
     v[initial_fock] = 1.0
     psi0 = StateVector(space, v)
-    h = lambda t: cat_prep_hamiltonian(kerr, schedule, t, dim)
+    h = cat_prep_hamiltonian(kerr, schedule, dim)
     settings = settings or IntegratorSettings(rtol=1e-9, atol=1e-11)
 
     parity = CatParity.EVEN if initial_fock == 0 else CatParity.ODD
@@ -313,18 +317,7 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
             return -1j * (h0m @ y + xi_j * add)
 
         dt = 2.0 * np.pi / (omega_c * n_steps_per_cycle)
-        n = int(np.ceil(t_gate / dt))
-        grid = np.linspace(0.0, t_gate, n + 1)
-        y = basis.astype(complex)
-        for k in range(n):
-            h = grid[k + 1] - grid[k]
-            t = grid[k]
-            k1 = rhs(t, y)
-            k2 = rhs(t + h / 2, y + h / 2 * k1)
-            k3 = rhs(t + h / 2, y + h / 2 * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        cols = y
+        (cols,) = _rk4_integrate(rhs, basis, 0.0, t_gate, [t_gate], dt)
 
     dtilde, omega_1, phi = effective_single_qubit(params, alpha)
     xi, theta_rot = rotation_parameters(dtilde, omega_1)

@@ -27,16 +27,15 @@ class CatParity(enum.Enum):
 
 @dataclass(frozen=True)
 class QubitBasisState:
-    """Computational basis label: one cat parity per qubit, plus the bus Fock level."""
+    """Computational basis label: one cat parity per qubit; the bus is in vacuum."""
 
     parities: tuple[CatParity, ...]
-    bus_fock: int = 0
 
     @classmethod
-    def from_string(cls, s: str, bus_fock: int = 0) -> "QubitBasisState":
+    def from_string(cls, s: str) -> "QubitBasisState":
         # e.g. "+-+" -> (EVEN, ODD, EVEN)
         table = {"+": CatParity.EVEN, "-": CatParity.ODD}
-        return cls(tuple(table[c] for c in s), bus_fock)
+        return cls(tuple(table[c] for c in s))
 
     @property
     def index(self) -> int:
@@ -47,15 +46,11 @@ class QubitBasisState:
         return idx
 
 
-def all_basis_states(n_qubits: int, bus_fock: int = 0) -> list[QubitBasisState]:
+def all_basis_states(n_qubits: int) -> list[QubitBasisState]:
     out = []
     for k in range(2**n_qubits):
         bits = [(k >> (n_qubits - 1 - i)) & 1 for i in range(n_qubits)]
-        out.append(
-            QubitBasisState(
-                tuple(CatParity.ODD if b else CatParity.EVEN for b in bits), bus_fock
-            )
-        )
+        out.append(QubitBasisState(tuple(CatParity.ODD if b else CatParity.EVEN for b in bits)))
     return out
 
 
@@ -159,7 +154,7 @@ def _fock_parity(vec: np.ndarray, parity_sign: np.ndarray) -> int:
 
 
 def basis_state(config, qbs: QubitBasisState) -> StateVector:
-    """Computational basis state |bus_fock>_0 ⊗ |C_p1> ⊗ ... on config.space.
+    """Computational basis state |0>_bus ⊗ |C_p1> ⊗ ... on config.space.
 
     config provides .space (bus first) and .alpha; see model.GateConfig.
     """
@@ -167,7 +162,7 @@ def basis_state(config, qbs: QubitBasisState) -> StateVector:
     if len(qbs.parities) != space.n_modes - 1:
         raise ValueError("parity count does not match qubit count")
     bus = np.zeros(space.mode_dims[0], dtype=complex)
-    bus[qbs.bus_fock] = 1.0
+    bus[0] = 1.0
     full = bus
     for k, p in enumerate(qbs.parities):
         v = _single_mode_cat(space.mode_dims[k + 1], config.alpha, p, fock_seed=0)

@@ -202,3 +202,21 @@ def test_checked_in_recipes_parse():
     for path in configs:
         spec = cli.load_spec(path)
         assert spec.kind in cli.KINDS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_grid_point_keeps_the_sweep(tmp_path, workers):
+    # at α = 2.5 a cat loses 7e-4 of its weight to 6 Kerr levels of a 12-level KPO,
+    # so GateModel.kerr_levels raises; the α = 1 point must still be written
+    doc = _base_doc(mode="full", grid={"alpha": [1.0, 2.5]})
+    doc["config"].update(n_qubits=1, kpo_dim=12, kpo_levels=6)
+    p = _write(tmp_path, doc)
+    assert cli.run(str(p), str(tmp_path / "out"), workers=workers) == cli.EXIT_NUMERIC
+    with open(tmp_path / "out" / "out.csv", newline="") as fh:
+        ok, bad = csv.DictReader(fh)
+    assert ok["alpha"] == "1.0" and ok["error"] == ""
+    assert 0.9 < float(ok["f_avg"]) <= 1.0
+    assert bad["alpha"] == "2.5" and bad["f_avg"] == ""
+    assert bad["error"].startswith("ValueError: cat state loses")
+    manifest = json.loads((tmp_path / "out" / "out.manifest.json").read_text())
+    assert manifest["n_records"] == 2

@@ -51,20 +51,34 @@ def test_adaptive_matches_closed_form():
     assert abs(res.final.norm() - 1.0) < 1e-8
 
 
-def test_time_dependent_hamiltonian_phase():
-    # i dpsi/dt = f(t) sigma_z psi with f(t) = t accumulates phase t^2/2
+T = 1.5
+
+
+def _phase_problem():
+    # H(t) = (1 + t) sigma_z as a static term plus a term with coefficient t:
+    # the phase accumulated by t is t + t^2/2 (T = 1.5: a dropped or misapplied
+    # coefficient would give 2T or T^2 instead)
     space = make_space([2])
-    sz = sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
+    sz = SparseOperator(space, sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex)))
+    h = [(sz, None), (sz, lambda t: t)]
+    psi0 = StateVector(space, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+    phase = T + T**2 / 2.0
+    expected = StateVector(space, np.array([np.exp(-1j * phase), np.exp(1j * phase)])
+                           / np.sqrt(2.0))
+    return h, psi0, expected, IntegratorSettings(rtol=1e-10, atol=1e-12)
 
-    def h(t):
-        return SparseOperator(space, t * sz)
 
-    v = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    res = evolve_state(h, StateVector(space, v), (0.0, 2.0),
-                       IntegratorSettings(rtol=1e-10, atol=1e-12))
-    phase = 2.0**2 / 2.0
-    expected = np.array([np.exp(-1j * phase), np.exp(1j * phase)]) / np.sqrt(2.0)
-    assert np.abs(res.final.amplitudes - expected).max() < 1e-7
+
+def test_time_dependent_hamiltonian_phase():
+    h, psi0, expected, settings = _phase_problem()
+    res = evolve_state(h, psi0, (0.0, T), settings)
+    assert np.abs(res.final.amplitudes - expected.amplitudes).max() < 1e-7
+
+
+def test_time_dependent_hamiltonian_phase_density():
+    h, psi0, expected, settings = _phase_problem()
+    res = evolve_density(h, [], psi0.outer(), (0.0, T), settings)
+    assert np.abs(res.final.entries - expected.outer().entries).max() < 1e-7
 
 
 def test_lindblad_cavity_decay_rate():

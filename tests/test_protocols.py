@@ -3,6 +3,8 @@ import pytest
 from scipy.special import eval_laguerre
 
 from catms import protocols
+from catms.hilbert import make_space, number_op
+from catms.model import h_kerr_single
 from catms.states import CatParity, single_mode_cat_vector
 
 
@@ -32,6 +34,18 @@ def test_cat_prep_both_parities():
         assert res.fidelity > 0.99
     with pytest.raises(ValueError):
         protocols.run_cat_prep(1.0, 2.0, 2.5, initial_fock=2)
+
+
+def test_cat_prep_hamiltonian_terms_sum_to_ramp():
+    kerr, dim = 1.3, 20
+    s = protocols.CatPrepSchedule(t0=1.7, alpha=2.0)
+    terms = protocols.cat_prep_hamiltonian(kerr, s, dim)
+    n = number_op(make_space([dim], ["a"]), "a")
+    for t in np.linspace(-1.7, 0.0, 7):
+        total = sum(op.to_dense() * (1.0 if f is None else f(t)) for op, f in terms)
+        ref = (h_kerr_single(kerr, kerr * s.alpha_t(t) ** 2, dim)
+               + s.delta_q(t, kerr) * n).to_dense()
+        assert np.abs(total - ref).max() < 1e-12
 
 
 def test_effective_single_qubit_map():
