@@ -49,7 +49,7 @@ KINDS = (
 )
 
 METRIC_COLUMNS = ("t_g", "f_avg", "f_out", "p_c", "chi_residual", "beta_total",
-                  "runtime_s", "seed", "error")
+                  "bus_top", "runtime_s", "seed", "error")
 
 _TWO_PI_PARAMS = ("kerr", "j_coupling", "delta", "omega_p")
 _RATE_PARAMS = ("kappa", "gamma", "kappa0", "gamma0")
@@ -256,6 +256,7 @@ def _gate_metrics(rec: dict, result) -> dict:
         rec["p_c"] = result.p_c
     rec["chi_residual"] = result.chi_residual
     rec["beta_total"] = result.beta_total
+    rec["bus_top"] = result.bus_top
     return rec
 
 

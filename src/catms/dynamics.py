@@ -4,9 +4,9 @@ Two integrator families:
   - rk4_fixed: classical fixed-step RK4 (used for convergence checks),
   - rkf45_adaptive: adaptive embedded Runge-Kutta via scipy's RK45.
 
-For piecewise-constant generators there is also an exact propagator based
-on scaled Taylor evaluation of the matrix exponential applied to a vector,
-which is what the gate runners use.
+For piecewise-constant generators there is also an exact propagator: SciPy's
+expm_multiply applies each segment's exponential to a vector or to a block of
+columns, which is how the gate runner propagates the computational basis.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from .hilbert import DensityMatrix, SparseOperator, StateVector
 
@@ -201,55 +201,23 @@ def _rk4_integrate(rhs, y0, t0, t1, out_times, dt):
 # --- exact propagation for piecewise-constant generators ----------------------
 
 
-def expm_apply(matrix, vec: np.ndarray, coeff: complex, tol: float = 1e-13) -> np.ndarray:
-    """exp(coeff * A) @ vec by scaled Taylor summation.
+def expm_apply(matrix, block: np.ndarray, coeff: complex) -> np.ndarray:
+    """exp(coeff * A) @ block, by SciPy's expm_multiply (Al-Mohy & Higham 2011).
 
-    Robust for ||coeff*A|| up to a few thousand; A sparse or dense.
+    block is a vector or a 2-D block of columns; A is sparse, dense or a
+    SparseOperator.
     """
     if isinstance(matrix, SparseOperator):
         matrix = matrix.matrix
-    if sp.issparse(matrix):
-        nrm = float(np.max(np.abs(matrix).sum(axis=1))) if matrix.nnz else 0.0
-    else:
-        nrm = float(np.max(np.abs(matrix).sum(axis=1))) if matrix.size else 0.0
-    scaled = nrm * abs(coeff)
-    s = max(1, int(np.ceil(scaled / 1.0)))
-    c = coeff / s
-    y = np.asarray(vec, dtype=complex)
-    for _ in range(s):
-        term = y
-        acc = y.copy()
-        ref = np.linalg.norm(y)
-        for k in range(1, 64):
-            term = (c / k) * (matrix @ term)
-            acc += term
-            if np.linalg.norm(term) <= tol * max(ref, 1e-300):
-                break
-        else:
-            raise RuntimeError("Taylor series for expm_apply did not converge")
-        y = acc
-    return y
+    return expm_multiply(coeff * matrix, block)
 
 
-def hermitian_shift(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, float]:
-    """Center the (real) diagonal to halve the spectral radius for expm_apply."""
-    d = matrix.diagonal().real
-    c = 0.5 * (float(d.min()) + float(d.max()))
-    if c == 0.0:
-        return matrix, 0.0
-    shifted = (matrix - c * sp.identity(matrix.shape[0], dtype=complex, format="csr")).tocsr()
-    return shifted, c
+def propagate_piecewise(segments, block: np.ndarray) -> np.ndarray:
+    """Apply Π_k exp(-i H_k dt_k) to block; segments are (H, dt) with H sparse/operator.
 
-
-def propagate_piecewise(segments, vec: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Apply Π_k exp(-i H_k dt_k) to vec; segments are (H, dt) with H sparse/operator.
-
-    Hamiltonians must be Hermitian; the diagonal shift only changes a global phase,
-    which is kept.
+    block is a vector or a 2-D block of columns, propagated together.
     """
-    y = np.asarray(vec, dtype=complex)
+    y = np.asarray(block, dtype=complex)
     for h, dt in segments:
-        m = h.matrix if isinstance(h, SparseOperator) else h
-        shifted, c = hermitian_shift(m)
-        y = np.exp(-1j * c * dt) * expm_apply(shifted, y, -1j * dt, tol)
+        y = expm_apply(h, y, -1j * dt)
     return y

@@ -287,6 +287,7 @@ class GateRunResult:
     p_c: float | None = None
     chi_residual: float = 0.0
     beta_total: float = 0.0
+    bus_top: float | None = None  # population left in the top bus Fock level
     propagator: np.ndarray | None = None
     final_state: object | None = None
 
@@ -402,16 +403,19 @@ class GateModel:
 
 def run_gate(config: GateConfig, schedule: Schedule | None = None,
              input_state: QubitBasisState | None = None, mode: str = "full",
-             settings: IntegratorSettings | None = None, expm_tol: float = 1e-13,
+             settings: IntegratorSettings | None = None,
              store_final: bool = False) -> GateRunResult:
     """Simulate the gate to the end of the schedule and compute its metrics.
 
     Mode "effective" runs GateModel.effective; mode "full" runs
     GateModel.kerr_levels when config.kpo_levels is set, else GateModel.fock.
     Coherent runs (all decay rates zero) propagate the full computational basis
-    and report the average gate fidelity; dissipative runs evolve the density
-    matrix of `input_state` (default: all qubits in |C+>) and report F_out and,
-    in full mode, the no-leakage probability P_C.
+    as one block of columns and report the average gate fidelity; dissipative
+    runs evolve the density matrix of `input_state` (default: all qubits in
+    |C+>) and report F_out and, in full mode, the no-leakage probability P_C.
+    Both report bus_top, a witness of bus truncation: the population left in
+    the top bus Fock level at the end (the largest over the columns, or the
+    trace of ρ's top-level block).
     """
     if mode not in ("full", "effective"):
         raise ValueError("mode must be 'full' or 'effective'")
@@ -435,21 +439,22 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
             for t0, t1, d, j, _ in sched.segments()]
     unrotate = np.exp(1j * sched.phase(t_end) * model.n0.diagonal().real)
     n = config.n_qubits
+    # the bus is the leading mode, so its top Fock level is the last `rest` rows
+    rest = space.dim // config.bus_dim
 
     decohering = any(
         r > 0 for r in (config.kappa0, config.gamma0, config.kappa, config.gamma)
     )
     if not decohering:
-        columns = [model.basis_vector(b) for b in all_basis_states(n)]
-        finals = [unrotate * propagate_piecewise(segs, v, expm_tol) for v in columns]
-        b = np.stack(columns, axis=1)
-        u = np.stack(finals, axis=1)
+        b = np.stack([model.basis_vector(q) for q in all_basis_states(n)], axis=1)
+        u = unrotate[:, None] * propagate_piecewise(segs, b)
         m = ms_target_matrix(n).conj().T @ (b.conj().T @ u)
         result.propagator = m
         result.f_avg = average_gate_fidelity(m)
+        result.bus_top = float((np.abs(u[-rest:]) ** 2).sum(axis=0).max())
         if input_state is None:
             return result
-        state = StateVector(space, finals[input_state.index])
+        state = StateVector(space, u[:, input_state.index])
     else:
         if input_state is None:
             input_state = QubitBasisState((CatParity.EVEN,) * n)
@@ -460,6 +465,7 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
                                  settings, check_positivity=False)
             rho = res.final
         state = DensityMatrix(space, (unrotate[:, None] * rho.entries) * unrotate.conj()[None, :])
+        result.bus_top = float(np.trace(state.entries[-rest:, -rest:]).real)
     result.f_out = output_fidelity(state, model, input_state)
     if model.leaks:
         result.p_c = no_leakage(state, model)

@@ -220,3 +220,33 @@ def test_failed_grid_point_keeps_the_sweep(tmp_path, workers):
     assert bad["error"].startswith("ValueError: cat state loses")
     manifest = json.loads((tmp_path / "out" / "out.manifest.json").read_text())
     assert manifest["n_records"] == 2
+
+
+def test_bus_top_flags_a_truncated_bus(tmp_path):
+    # the fig4 recipe's qubit-level model, coherent and as a plain gate: at N = 4
+    # a 10-level bus loses 1.8e-3 of F̄ to truncation, and bus_top must show it
+    recipe = Path(__file__).resolve().parents[1] / "configs" / "fig4_output_fidelity.json"
+    doc = json.loads(recipe.read_text())
+    doc.update(kind="gate_fidelity_sweep", output="out.csv", grid={"n_qubits": [4]})
+    doc["config"].update(kappa=0.0, gamma=0.0, kappa0=0.0, gamma0=0.0)
+    rows = {}
+    for bus_dim in (10, 20):
+        doc["config"]["bus_dim"] = bus_dim
+        out = tmp_path / f"bus{bus_dim}"
+        assert cli.run(str(_write(tmp_path, doc)), str(out)) == cli.EXIT_OK
+        with open(out / "out.csv", newline="") as fh:
+            (rows[bus_dim],) = csv.DictReader(fh)
+    f10, f20 = float(rows[10]["f_avg"]), float(rows[20]["f_avg"])
+    assert f20 - f10 > 1e-3  # the truncation error the witness has to flag
+    assert float(rows[10]["bus_top"]) > 1e-5
+    assert float(rows[20]["bus_top"]) < 1e-10
+
+
+def test_non_gate_rows_leave_bus_top_empty(tmp_path):
+    doc = {"version": 1, "kind": "cat_prep", "output": "out.csv",
+           "config": {"kerr": 1.0, "alpha": 1.0, "t0": 1.0, "dim": 12},
+           "grid": {"initial_fock": [0]}}
+    assert cli.run(str(_write(tmp_path, doc)), str(tmp_path / "out")) == cli.EXIT_OK
+    with open(tmp_path / "out" / "out.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["f_out"] != "" and row["bus_top"] == ""

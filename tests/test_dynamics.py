@@ -8,7 +8,6 @@ from catms.dynamics import (
     evolve_density,
     evolve_state,
     expm_apply,
-    hermitian_shift,
     propagate_piecewise,
 )
 from catms.hilbert import (
@@ -118,17 +117,17 @@ def test_expm_apply_matches_scipy():
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = m + m.conj().T
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    ref = scipy.linalg.expm(-1j * 0.37 * m) @ v
-    out = expm_apply(sp.csr_matrix(m), v, -1j * 0.37)
-    assert np.abs(out - ref).max() < 1e-9
-
-
-def test_hermitian_shift_centers_diagonal():
-    m = sp.csr_matrix(np.diag([0.0, 10.0, 20.0]).astype(complex))
-    shifted, c = hermitian_shift(m)
-    assert c == pytest.approx(10.0)
-    d = shifted.diagonal().real
-    assert d.min() == pytest.approx(-10.0) and d.max() == pytest.approx(10.0)
+    a = sp.csr_matrix(m)
+    u_ref = scipy.linalg.expm(-1j * 0.37 * m)
+    out = expm_apply(a, v, -1j * 0.37)
+    assert np.abs(out - u_ref @ v).max() < 1e-9
+    # a block of columns gives the column-by-column results
+    w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    block = expm_apply(a, np.stack([v, w], axis=1), -1j * 0.37)
+    assert block.shape == (dim, 2)
+    assert np.abs(block[:, 0] - out).max() < 1e-12
+    assert np.abs(block[:, 1] - expm_apply(a, w, -1j * 0.37)).max() < 1e-12
+    assert np.abs(block - u_ref @ np.stack([v, w], axis=1)).max() < 1e-10
 
 
 def test_propagate_piecewise_unitary_and_composed():
@@ -138,14 +137,21 @@ def test_propagate_piecewise_unitary_and_composed():
     h1 = sp.csr_matrix(h1 + h1.conj().T)
     h2 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h2 = sp.csr_matrix(h2 + h2.conj().T)
+    segments = [(h1, 0.3), (h2, 0.5)]
+    u_ref = scipy.linalg.expm(-1j * 0.5 * h2.toarray()) @ scipy.linalg.expm(
+        -1j * 0.3 * h1.toarray())
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0
-    out = propagate_piecewise([(h1, 0.3), (h2, 0.5)], v)
-    ref = scipy.linalg.expm(-1j * 0.5 * h2.toarray()) @ (
-        scipy.linalg.expm(-1j * 0.3 * h1.toarray()) @ v
-    )
-    assert np.abs(out - ref).max() < 1e-10
+    out = propagate_piecewise(segments, v)
+    assert np.abs(out - u_ref @ v).max() < 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
+    # two columns propagated as one block, against each column alone
+    w = np.zeros(dim, dtype=complex)
+    w[5] = 1.0
+    block = propagate_piecewise(segments, np.stack([v, w], axis=1))
+    assert np.abs(block[:, 0] - out).max() < 1e-12
+    assert np.abs(block[:, 1] - propagate_piecewise(segments, w)).max() < 1e-12
+    assert np.abs(block - u_ref[:, [0, 5]]).max() < 1e-10
 
 
 def test_integrator_settings_validation():

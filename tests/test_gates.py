@@ -139,3 +139,23 @@ def test_parity_conservation_in_coherent_run():
     parity = np.array([(-1) ** sum(space.multi_index(k)) for k in range(space.dim)])
     odd_weight = float(np.sum(np.abs(amps[parity < 0]) ** 2))
     assert odd_weight < 1e-10
+
+
+def test_run_gate_full_coherent_pinned():
+    # kpo_dim 10 truncates the α = 2 cats, so F̄ is far from 1; the value pins
+    # the block propagation of the dim-600 Fock generator, not the physics. The
+    # earlier column-by-column Taylor propagator gave 0.6000916655991034, and a
+    # dense eigendecomposition gives 0.6000916655981235.
+    cfg = _cfg(j_coupling=2 * np.pi * 1.0, bus_dim=6, kpo_dim=10)
+    res = gates.run_gate(cfg, mode="full")
+    assert res.f_avg == pytest.approx(0.6000916655991034, abs=1e-10)
+
+
+def test_coherent_block_keeps_basis_order():
+    # F_out of input i is |<target_i|u_i>|² = |M_ii|², so a final column taken
+    # from the wrong place in the propagated block fails this
+    cfg = _cfg()
+    for inp in all_basis_states(2):
+        res = gates.run_gate(cfg, mode="effective", input_state=inp)
+        m_ii = res.propagator[inp.index, inp.index]
+        assert res.f_out == pytest.approx(abs(m_ii) ** 2, abs=1e-12)
