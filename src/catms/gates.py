@@ -56,27 +56,6 @@ def gate_time(config: GateConfig) -> float:
     return 2.0 * np.pi * config.m_loops / config.delta
 
 
-@dataclass(frozen=True)
-class MsGeometry:
-    r: float  # loop radius 2Jα/Δ
-    theta: float  # rotation angle Δ t_g
-    t_g: float
-    beta_tg: float
-    area: float  # enclosed area π r²
-
-
-def geometry(config: GateConfig) -> MsGeometry:
-    r = 2.0 * config.j_coupling * config.alpha / config.delta
-    t_g = gate_time(config)
-    return MsGeometry(
-        r=r,
-        theta=config.delta * t_g,
-        t_g=t_g,
-        beta_tg=-2.0 * config.m_loops * np.pi * r**2,
-        area=np.pi * r**2,
-    )
-
-
 def loop_trajectory(schedule: Schedule, alpha: float, t: float) -> tuple[complex, float]:
     """(χ, β) at time t for a piecewise-constant (Δ, J) schedule.
 
@@ -157,14 +136,12 @@ def ms_closed_form(t: float, config: GateConfig) -> SparseOperator:
 # --- fidelity and leakage metrics -------------------------------------------------
 
 
-def average_gate_fidelity(m: np.ndarray, dim: int | None = None) -> float:
+def average_gate_fidelity(m: np.ndarray) -> float:
     """F̄ = (Tr(MM†) + |Tr M|²) / (D² + D); global-phase insensitive."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("M must be square")
-    d = dim if dim is not None else m.shape[0]
-    if d != m.shape[0]:
-        raise ValueError("dimension mismatch")
+    d = m.shape[0]
     return float((np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / (d**2 + d))
 
 
@@ -402,9 +379,7 @@ class GateModel:
 
 
 def run_gate(config: GateConfig, schedule: Schedule | None = None,
-             input_state: QubitBasisState | None = None, mode: str = "full",
-             settings: IntegratorSettings | None = None,
-             store_final: bool = False) -> GateRunResult:
+             input_state: QubitBasisState | None = None, mode: str = "full") -> GateRunResult:
     """Simulate the gate to the end of the schedule and compute its metrics.
 
     Mode "effective" runs GateModel.effective; mode "full" runs
@@ -415,7 +390,9 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     |C+>) and report F_out and, in full mode, the no-leakage probability P_C.
     Both report bus_top, a witness of bus truncation: the population left in
     the top bus Fock level at the end (the largest over the columns, or the
-    trace of ρ's top-level block).
+    trace of ρ's top-level block). The final state, when the run has one (a
+    dissipative run, or a coherent run given `input_state`), is kept as
+    final_state.
     """
     if mode not in ("full", "effective"):
         raise ValueError("mode must be 'full' or 'effective'")
@@ -459,16 +436,14 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         if input_state is None:
             input_state = QubitBasisState((CatParity.EVEN,) * n)
         rho = StateVector(space, model.basis_vector(input_state)).outer()
-        settings = settings or IntegratorSettings(rtol=1e-7, atol=1e-9)
+        settings = IntegratorSettings(rtol=1e-7, atol=1e-9)
         for h, dt in segs:
-            res = evolve_density(SparseOperator(space, h), model.channels, rho, (0.0, dt),
+            rho = evolve_density(SparseOperator(space, h), model.channels, rho, (0.0, dt),
                                  settings, check_positivity=False)
-            rho = res.final
         state = DensityMatrix(space, (unrotate[:, None] * rho.entries) * unrotate.conj()[None, :])
         result.bus_top = float(np.trace(state.entries[-rest:, -rest:]).real)
     result.f_out = output_fidelity(state, model, input_state)
     if model.leaks:
         result.p_c = no_leakage(state, model)
-    if store_final:
-        result.final_state = state
+    result.final_state = state
     return result

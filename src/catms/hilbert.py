@@ -50,31 +50,6 @@ class HilbertSpace:
         except ValueError:
             raise ValueError(f"unknown mode {mode!r}") from None
 
-    def strides(self) -> tuple[int, ...]:
-        out = []
-        s = 1
-        for d in reversed(self.mode_dims):
-            out.append(s)
-            s *= d
-        return tuple(reversed(out))
-
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        if len(multi) != self.n_modes:
-            raise ValueError("index length mismatch")
-        for nu, d in zip(multi, self.mode_dims):
-            if not 0 <= nu < d:
-                raise ValueError("Fock index out of range")
-        return sum(nu * s for nu, s in zip(multi, self.strides()))
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.dim:
-            raise ValueError("flat index out of range")
-        out = []
-        for s in self.strides():
-            out.append(flat // s)
-            flat %= s
-        return tuple(out)
-
 
 def make_space(mode_dims, labels=None) -> HilbertSpace:
     """Build a HilbertSpace; default labels are "a0", "a1", ..."""
@@ -132,14 +107,6 @@ class SparseOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        d = self.matrix - self.matrix.getH()
-        return d.nnz == 0 or float(np.abs(d.data).max()) < tol
-
-
-def identity(space: HilbertSpace) -> SparseOperator:
-    return SparseOperator(space, sp.identity(space.dim, dtype=complex, format="csr"))
-
 
 def dagger(op: SparseOperator) -> SparseOperator:
     return SparseOperator(op.space, op.matrix.getH().tocsr())
@@ -160,12 +127,6 @@ class StateVector:
         if v.size != self.space.dim:
             raise ValueError("amplitude length does not match space")
         self.amplitudes = v
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.space, self.amplitudes / self.norm())
 
     def dagger_dot(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -190,18 +151,6 @@ class DensityMatrix:
 
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def assert_valid(self, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):
-        if self.hermiticity_defect() > herm_tol:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError("density matrix trace deviates from 1")
-        w = np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)
-        if w.min() < -eig_tol:
-            raise ValueError("density matrix has a negative eigenvalue")
 
 
 # --- single-mode builders and embedding ------------------------------------
@@ -259,37 +208,3 @@ def tensor_embed(op: SparseOperator, space: HilbertSpace, mode) -> SparseOperato
     if op.space.mode_dims[0] != space.mode_dims[k]:
         raise ValueError("operator dimension does not match target mode")
     return _embed_matrix(op.matrix, space, k)
-
-
-# --- application and expectation values -------------------------------------
-
-
-def apply(op: SparseOperator, state: StateVector) -> StateVector:
-    if op.space != state.space:
-        raise ValueError("operator and state spaces do not match")
-    return StateVector(state.space, op.matrix @ state.amplitudes)
-
-
-def expect(op: SparseOperator, state) -> complex:
-    """⟨op⟩ for a StateVector or Tr(op ρ) for a DensityMatrix."""
-    if op.space != state.space:
-        raise ValueError("operator and state spaces do not match")
-    if isinstance(state, StateVector):
-        v = state.amplitudes
-        return complex(np.vdot(v, op.matrix @ v))
-    if isinstance(state, DensityMatrix):
-        return complex((op.matrix @ state.entries).trace())
-    raise TypeError("state must be a StateVector or DensityMatrix")
-
-
-def partial_trace(rho: DensityMatrix, keep_mode) -> np.ndarray:
-    """Reduced density matrix of one mode, as a dense array."""
-    space = rho.space
-    k = space.mode_index(keep_mode)
-    dims = space.mode_dims
-    m = rho.entries.reshape(dims + dims)
-    n = len(dims)
-    # trace out every mode except k
-    for j in reversed([i for i in range(n) if i != k]):
-        m = np.trace(m, axis1=j, axis2=j + (m.ndim // 2))
-    return m

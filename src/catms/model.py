@@ -1,4 +1,4 @@
-"""Gate configuration, schedules, Hamiltonians and the cat-manifold projector.
+"""Gate configuration, schedules and Hamiltonians.
 
 Units: all rates and angular frequencies are rad/us. A parameter quoted as
 "X/2pi = v MHz" enters as X = 2*pi*v; a bare "kappa = v MHz" enters as
@@ -7,7 +7,7 @@ parameter so the convention is auditable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,6 @@ from .hilbert import (
     make_space,
     tensor_embed,
 )
-from .states import CatParity, single_mode_cat_vector
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,11 +96,6 @@ class GateConfig:
         dims = [self.bus_dim] + [2] * self.n_qubits
         labels = ["a0"] + [f"q{n}" for n in range(1, self.n_qubits + 1)]
         return make_space(dims, labels)
-
-    def kpo_label(self, n: int) -> str:
-        if not 1 <= n <= self.n_qubits:
-            raise ValueError("KPO index out of range")
-        return f"a{n}"
 
     def replace(self, **kw) -> "GateConfig":
         out = replace(self, **kw)
@@ -200,7 +194,6 @@ def h_kerr_single(kerr: float, omega_p: float, dim: int) -> SparseOperator:
     """-K a†²a² + Ωp(a² + a†²) on an isolated mode."""
     space = make_space([dim], ["a"])
     a = annihilation(space, "a")
-    ad = dagger(a)
     a2 = a @ a
     return (-kerr) * (dagger(a2) @ a2) + omega_p * (a2 + dagger(a2))
 
@@ -218,26 +211,6 @@ def kerr_level_isometry(kerr: float, omega_p: float, dim: int, n_levels: int):
     w, v = np.linalg.eigh(hk)
     order = np.argsort(w)[::-1][:n_levels]
     return w[order].copy(), np.ascontiguousarray(v[:, order])
-
-
-def h_displaced(config: GateConfig, sign: int, dim: int | None = None) -> SparseOperator:
-    """Displaced-frame KPO Hamiltonian -K[4α²a†a - a†²a² ∓ 2α(a†²a + h.c.)].
-
-    Single-mode operator; the vacuum is an exact eigenstate with eigenvalue 0.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    dim = dim if dim is not None else config.kpo_dim
-    space = make_space([dim], ["a"])
-    a = annihilation(space, "a")
-    ad = dagger(a)
-    alpha = config.alpha
-    n = ad @ a
-    cubic = ad @ ad @ a
-    body = 4.0 * alpha**2 * n - dagger(a @ a) @ (a @ a) - sign * 2.0 * alpha * (
-        cubic + dagger(cubic)
-    )
-    return (-config.kerr) * body
 
 
 # --- qubit-level (cat-manifold) operators ------------------------------------
@@ -272,31 +245,3 @@ def h_eff_spin_boson(config: GateConfig, t: float, phase: float | None = None) -
     a0 = annihilation(space, "a0")
     bus = np.exp(-1j * ph) * a0 + np.exp(1j * ph) * dagger(a0)
     return (2.0 * config.j_coupling * config.alpha) * (sx_total(config) @ bus)
-
-
-# --- projector and gap estimate ----------------------------------------------
-
-
-def projector_cat(config: GateConfig) -> SparseOperator:
-    """P_c = |0><0|_bus ⊗ ⊗_n (|C+><C+| + |C-><C-|) on the full space."""
-    space = config.space
-    bus = sp.csr_matrix(
-        ([1.0 + 0j], ([0], [0])), shape=(config.bus_dim, config.bus_dim)
-    )
-    p = tensor_embed(SparseOperator(make_space([config.bus_dim], ["b"]), bus), space, "a0")
-    for n in range(1, config.n_qubits + 1):
-        p = p @ _mode_manifold_projector(config, n)
-    return p
-
-
-def _mode_manifold_projector(config: GateConfig, n: int) -> SparseOperator:
-    dim = config.kpo_dim
-    b = np.stack([single_mode_cat_vector(dim, config.alpha, p) for p in CatParity], axis=1)
-    proj = sp.csr_matrix(b @ b.conj().T)
-    single = SparseOperator(make_space([dim], ["a"]), proj)
-    return tensor_embed(single, config.space, config.kpo_label(n))
-
-
-def energy_gap(config: GateConfig) -> float:
-    """Cat-to-excited-manifold gap, E_gap ≈ 4Kα² (rad/us)."""
-    return 4.0 * config.kerr * config.alpha**2

@@ -9,13 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.special import eval_laguerre, gammaln
 
 from .dynamics import IntegratorSettings, _rk4_integrate, evolve_density, evolve_state
 from .gates import average_gate_fidelity
 from .hilbert import (
-    DensityMatrix,
     StateVector,
     annihilation,
     dagger,
@@ -103,8 +101,7 @@ class CatPrepResult:
 
 
 def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
-                 kappa: float = 0.0, gamma: float = 0.0, dim: int = 30,
-                 settings: IntegratorSettings | None = None) -> CatPrepResult:
+                 kappa: float = 0.0, gamma: float = 0.0, dim: int = 30) -> CatPrepResult:
     """Ramp from -t0 to 0 and report the fidelity to the target cat state.
 
     initial_fock = 0 targets |C+>, initial_fock = 1 targets |C->.
@@ -117,7 +114,7 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
     v[initial_fock] = 1.0
     psi0 = StateVector(space, v)
     h = cat_prep_hamiltonian(kerr, schedule, dim)
-    settings = settings or IntegratorSettings(rtol=1e-9, atol=1e-11)
+    settings = IntegratorSettings(rtol=1e-9, atol=1e-11)
 
     parity = CatParity.EVEN if initial_fock == 0 else CatParity.ODD
     target = StateVector(space, single_mode_cat_vector(dim, alpha, parity))
@@ -128,10 +125,9 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
             channels.append(CollapseChannel(kappa, annihilation(space, "a")))
         if gamma > 0:
             channels.append(CollapseChannel(gamma, number_op(space, "a")))
-        res = evolve_density(h, channels, psi0.outer(), (-t0, 0.0), settings)
+        final = evolve_density(h, channels, psi0.outer(), (-t0, 0.0), settings)
     else:
-        res = evolve_state(h, psi0, (-t0, 0.0), settings)
-    final = res.final
+        final = evolve_state(h, psi0, (-t0, 0.0), settings)
     return CatPrepResult(parity, fidelity(final, target), final,
                          ramp_margin(kerr, schedule))
 
@@ -317,7 +313,7 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
             return -1j * (h0m @ y + xi_j * add)
 
         dt = 2.0 * np.pi / (omega_c * n_steps_per_cycle)
-        (cols,) = _rk4_integrate(rhs, basis, 0.0, t_gate, [t_gate], dt)
+        cols = _rk4_integrate(rhs, basis, 0.0, t_gate, dt)
 
     dtilde, omega_1, phi = effective_single_qubit(params, alpha)
     xi, theta_rot = rotation_parameters(dtilde, omega_1)

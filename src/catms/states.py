@@ -1,19 +1,12 @@
-"""Special-state constructors (coherent, cat, excited cat) and state metrics."""
+"""Cat-qubit basis labels, cat-state amplitudes and state metrics."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    DensityMatrix,
-    HilbertSpace,
-    SparseOperator,
-    StateVector,
-    apply,
-    displacement,
-)
+from .hilbert import DensityMatrix, StateVector, displacement, make_space
 
 
 class CatParity(enum.Enum):
@@ -30,12 +23,6 @@ class QubitBasisState:
     """Computational basis label: one cat parity per qubit; the bus is in vacuum."""
 
     parities: tuple[CatParity, ...]
-
-    @classmethod
-    def from_string(cls, s: str) -> "QubitBasisState":
-        # e.g. "+-+" -> (EVEN, ODD, EVEN)
-        table = {"+": CatParity.EVEN, "-": CatParity.ODD}
-        return cls(tuple(table[c] for c in s))
 
     @property
     def index(self) -> int:
@@ -54,103 +41,22 @@ def all_basis_states(n_qubits: int) -> list[QubitBasisState]:
     return out
 
 
-def fock_state(space: HilbertSpace, multi) -> StateVector:
-    v = np.zeros(space.dim, dtype=complex)
-    v[space.flat_index(tuple(multi))] = 1.0
-    return StateVector(space, v)
-
-
-def coherent(space: HilbertSpace, mode, alpha: complex) -> StateVector:
-    """|alpha> = D(alpha)|0> on one mode, vacuum elsewhere."""
-    vac = fock_state(space, (0,) * space.n_modes)
-    return apply(displacement(space, mode, alpha), vac).normalized()
-
-
-def _single_mode_cat(dim: int, alpha: float, parity: CatParity, fock_seed: int) -> np.ndarray:
-    """Amplitudes of N[D(a) ± D(-a)]|fock_seed> on a dim-level mode.
-
-    For fock_seed=0 the ± sign is parity.sign (ground cats); for fock_seed=1
-    the sign is flipped (displaced-Fock excited states).
-    """
-    from .hilbert import make_space
-
+def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndarray:
+    """Amplitudes of the cat N±[D(α) ± D(−α)]|0⟩ on an isolated dim-level mode."""
+    if alpha <= 0:
+        raise ValueError("cat amplitude must be positive")
     sp1 = make_space([dim], ["a"])
     seed = np.zeros(dim, dtype=complex)
-    seed[fock_seed] = 1.0
+    seed[0] = 1.0
     dp = displacement(sp1, "a", alpha).matrix @ seed
     dm = displacement(sp1, "a", -alpha).matrix @ seed
-    sign = parity.sign if fock_seed == 0 else -parity.sign
-    v = dp + sign * dm
+    v = dp + parity.sign * dm
     # enforce exact Fock-support parity (cancellation leaves ~1e-17 residue)
     if parity is CatParity.EVEN:
         v[1::2] = 0.0
     else:
         v[0::2] = 0.0
     return v / np.linalg.norm(v)
-
-
-def cat_state(space: HilbertSpace, mode, alpha: float, parity: CatParity) -> StateVector:
-    """Even/odd cat state on one mode: N±[D(α) ± D(−α)]|0>, vacuum elsewhere."""
-    if alpha <= 0:
-        raise ValueError("cat amplitude must be positive")
-    k = space.mode_index(mode)
-    v = _single_mode_cat(space.mode_dims[k], alpha, parity, fock_seed=0)
-    return _lift_single_mode(space, k, v)
-
-
-def excited_cat(space: HilbertSpace, mode, alpha: float, parity: CatParity) -> StateVector:
-    """First-excited manifold state N_e±[D(α) ∓ D(−α)]|ν=1>, vacuum elsewhere."""
-    if alpha <= 0:
-        raise ValueError("cat amplitude must be positive")
-    k = space.mode_index(mode)
-    v = _single_mode_cat(space.mode_dims[k], alpha, parity, fock_seed=1)
-    return _lift_single_mode(space, k, v)
-
-
-def _lift_single_mode(space: HilbertSpace, k: int, v: np.ndarray) -> StateVector:
-    """Tensor a single-mode vector with vacuum on all other modes."""
-    full = np.array([1.0 + 0j])
-    for j, d in enumerate(space.mode_dims):
-        if j == k:
-            factor = v
-        else:
-            factor = np.zeros(d, dtype=complex)
-            factor[0] = 1.0
-        full = np.kron(full, factor)
-    return StateVector(space, full)
-
-
-def cat_normalization(alpha: float, parity: CatParity) -> float:
-    """Closed-form N± = 1/sqrt(2(1 ± exp(-2α²)))."""
-    return 1.0 / np.sqrt(2.0 * (1.0 + parity.sign * np.exp(-2.0 * alpha**2)))
-
-
-def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndarray:
-    """Normalized cat amplitudes on an isolated dim-level mode."""
-    return _single_mode_cat(dim, alpha, parity, fock_seed=0)
-
-
-def excited_cat_exact(space: HilbertSpace, mode, kerr_op: SparseOperator, parity: CatParity) -> StateVector:
-    """Validation variant: first-excited eigenvector of a single-mode Kerr Hamiltonian.
-
-    kerr_op must act on `space`; returns the eigenvector of matching photon
-    parity closest below the cat manifold.
-    """
-    h = kerr_op.to_dense()
-    w, vecs = np.linalg.eigh(h)
-    k = space.mode_index(mode)
-    dim = space.mode_dims[k]
-    parity_sign = np.array([(-1) ** n for n in range(dim)])
-    want = parity.sign
-    # eigenvalues sorted ascending; cat manifold sits at the top (negative Kerr)
-    idx = [i for i in range(len(w)) if _fock_parity(vecs[:, i], parity_sign) == want]
-    # first excited of that parity = second from the top of the manifold ladder
-    return StateVector(space, vecs[:, idx[-2]])
-
-
-def _fock_parity(vec: np.ndarray, parity_sign: np.ndarray) -> int:
-    p = np.sum(parity_sign * np.abs(vec) ** 2)
-    return 1 if p > 0 else -1
 
 
 def basis_state(config, qbs: QubitBasisState) -> StateVector:
@@ -165,7 +71,7 @@ def basis_state(config, qbs: QubitBasisState) -> StateVector:
     bus[0] = 1.0
     full = bus
     for k, p in enumerate(qbs.parities):
-        v = _single_mode_cat(space.mode_dims[k + 1], config.alpha, p, fock_seed=0)
+        v = single_mode_cat_vector(space.mode_dims[k + 1], config.alpha, p)
         full = np.kron(full, v)
     return StateVector(space, full)
 

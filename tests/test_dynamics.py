@@ -5,16 +5,18 @@ import scipy.sparse as sp
 
 from catms.dynamics import (
     IntegratorSettings,
+    ToleranceBreach,
+    _rk4_integrate,
     evolve_density,
     evolve_state,
     expm_apply,
     propagate_piecewise,
 )
 from catms.hilbert import (
+    DensityMatrix,
     SparseOperator,
     StateVector,
     annihilation,
-    dagger,
     make_space,
     number_op,
 )
@@ -34,8 +36,8 @@ def test_rk4_fourth_order_convergence():
     exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0.amplitudes
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        res = evolve_state(h, psi0, (0.0, t), IntegratorSettings(method="rk4_fixed", dt=dt))
-        errs.append(np.linalg.norm(res.final.amplitudes - exact))
+        y = _rk4_integrate(lambda _, y: -1j * (h.matrix @ y), psi0.amplitudes, 0.0, t, dt)
+        errs.append(np.linalg.norm(y - exact))
     # halving dt should shrink the error by ~2^4
     assert errs[0] / errs[1] > 12
     assert errs[1] / errs[2] > 12
@@ -45,9 +47,9 @@ def test_adaptive_matches_closed_form():
     space, h, psi0 = _two_level_rabi()
     t = 2.0
     exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0.amplitudes
-    res = evolve_state(h, psi0, (0.0, t), IntegratorSettings(rtol=1e-10, atol=1e-12))
-    assert np.abs(res.final.amplitudes - exact).max() < 1e-8
-    assert abs(res.final.norm() - 1.0) < 1e-8
+    psi = evolve_state(h, psi0, (0.0, t), IntegratorSettings(rtol=1e-10, atol=1e-12))
+    assert np.abs(psi.amplitudes - exact).max() < 1e-8
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-8
 
 
 T = 1.5
@@ -70,14 +72,14 @@ def _phase_problem():
 
 def test_time_dependent_hamiltonian_phase():
     h, psi0, expected, settings = _phase_problem()
-    res = evolve_state(h, psi0, (0.0, T), settings)
-    assert np.abs(res.final.amplitudes - expected.amplitudes).max() < 1e-7
+    psi = evolve_state(h, psi0, (0.0, T), settings)
+    assert np.abs(psi.amplitudes - expected.amplitudes).max() < 1e-7
 
 
 def test_time_dependent_hamiltonian_phase_density():
     h, psi0, expected, settings = _phase_problem()
-    res = evolve_density(h, [], psi0.outer(), (0.0, T), settings)
-    assert np.abs(res.final.entries - expected.outer().entries).max() < 1e-7
+    rho = evolve_density(h, [], psi0.outer(), (0.0, T), settings)
+    assert np.abs(rho.entries - expected.outer().entries).max() < 1e-7
 
 
 def test_lindblad_cavity_decay_rate():
@@ -90,11 +92,11 @@ def test_lindblad_cavity_decay_rate():
     v[3] = 1.0
     rho0 = StateVector(space, v).outer()
     t = 0.9
-    res = evolve_density(h, chan, rho0, (0.0, t))
-    n_final = np.real(np.trace(number_op(space, "a0").to_dense() @ res.final.entries))
+    rho = evolve_density(h, chan, rho0, (0.0, t))
+    n_final = np.real(np.trace(number_op(space, "a0").to_dense() @ rho.entries))
     assert n_final == pytest.approx(3.0 * np.exp(-kappa * t), rel=1e-6)
-    assert res.final.trace().real == pytest.approx(1.0, abs=1e-8)
-    assert res.final.hermiticity_defect() < 1e-12
+    assert rho.trace().real == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-12
 
 
 def test_lindblad_dephasing_preserves_populations():
@@ -103,11 +105,11 @@ def test_lindblad_dephasing_preserves_populations():
     h = SparseOperator(space, sp.csr_matrix((dim, dim), dtype=complex))
     chan = [CollapseChannel(0.5, number_op(space, "a0"))]
     v = np.ones(dim, dtype=complex) / 2.0
-    res = evolve_density(h, chan, StateVector(space, v).outer(), (0.0, 1.0))
-    pops = np.real(np.diag(res.final.entries))
+    rho = evolve_density(h, chan, StateVector(space, v).outer(), (0.0, 1.0))
+    pops = np.real(np.diag(rho.entries))
     assert np.abs(pops - 0.25).max() < 1e-8
     # coherences decay as exp(-rate (m-n)^2 t / 2)
-    c01 = abs(res.final.entries[0, 1])
+    c01 = abs(rho.entries[0, 1])
     assert c01 == pytest.approx(0.25 * np.exp(-0.5 * 0.5), rel=1e-5)
 
 
@@ -156,8 +158,36 @@ def test_propagate_piecewise_unitary_and_composed():
 
 def test_integrator_settings_validation():
     with pytest.raises(ValueError):
-        IntegratorSettings(method="euler")
-    with pytest.raises(ValueError):
-        IntegratorSettings(method="rk4_fixed")  # missing dt
-    with pytest.raises(ValueError):
         IntegratorSettings(rtol=0.0)
+    with pytest.raises(ValueError):
+        IntegratorSettings(atol=-1e-12)
+
+
+def _zero_hamiltonian(dim):
+    return SparseOperator(make_space([dim]), sp.csr_matrix((dim, dim), dtype=complex))
+
+
+def test_evolve_density_rejects_a_non_positive_result():
+    # H = 0 and no channels keep ρ0 = diag(1.5, −0.5): trace 1, eigenvalue −0.5
+    h = _zero_hamiltonian(2)
+    rho0 = DensityMatrix(h.space, np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(ToleranceBreach):
+        evolve_density(h, [], rho0, (0.0, 1.0))
+
+
+def test_evolve_density_warns_on_trace_drift():
+    h = _zero_hamiltonian(2)
+    rho0 = DensityMatrix(h.space, np.diag([1.0, 1.0]).astype(complex))
+    with pytest.warns(UserWarning, match="trace drifted"):
+        rho = evolve_density(h, [], rho0, (0.0, 1.0))
+    assert rho.trace().real == pytest.approx(2.0)
+
+
+def test_evolve_state_warns_on_norm_drift():
+    # H = −0.5i·I shrinks the norm as e^{−t/2}
+    space = make_space([2])
+    h = SparseOperator(space, sp.identity(2, dtype=complex, format="csr") * -0.5j)
+    psi0 = StateVector(space, np.array([1.0, 0.0], dtype=complex))
+    with pytest.warns(UserWarning, match="norm drifted"):
+        psi = evolve_state(h, psi0, (0.0, 1.0))
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(np.exp(-0.5), rel=1e-6)

@@ -19,9 +19,9 @@ def test_loop_geometry_closed_form():
     t_g = gates.gate_time(cfg)
     assert abs(gates.chi(t_g, cfg)) < 1e-12
     assert gates.beta(t_g, cfg) == pytest.approx(-np.pi / 2.0, abs=1e-12)
-    geo = gates.geometry(cfg)
-    assert geo.r == pytest.approx(2.0 * cfg.j_coupling * cfg.alpha / cfg.delta)
-    assert geo.theta == pytest.approx(2.0 * np.pi)
+    # half way round, the bus is one loop diameter 2r = 4Jα/Δ from the origin
+    r = 2.0 * cfg.j_coupling * cfg.alpha / cfg.delta
+    assert abs(gates.chi(t_g / 2.0, cfg)) == pytest.approx(2.0 * r, rel=1e-12)
 
 
 def test_gate_time_scaling():
@@ -132,11 +132,9 @@ def test_parity_conservation_in_coherent_run():
     # the full gate couples KPOs only through photon exchange with the bus,
     # so the joint photon-number parity of the final state is unchanged
     cfg = _cfg(n_qubits=1, bus_dim=8, kpo_dim=14)
-    res = gates.run_gate(cfg, mode="full", input_state=QubitBasisState((CatParity.EVEN,)),
-                         store_final=True)
-    space = cfg.space
+    res = gates.run_gate(cfg, mode="full", input_state=QubitBasisState((CatParity.EVEN,)))
     amps = res.final_state.amplitudes
-    parity = np.array([(-1) ** sum(space.multi_index(k)) for k in range(space.dim)])
+    parity = (-1) ** np.indices(cfg.space.mode_dims).sum(axis=0).ravel()
     odd_weight = float(np.sum(np.abs(amps[parity < 0]) ** 2))
     assert odd_weight < 1e-10
 
