@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gates, noise, protocols
-from .model import GateConfig
+from .model import GateConfig, Schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,6 +36,17 @@ EXIT_NUMERIC = 4
 
 CONFIG_VERSION = 1
 DEFAULT_CEILING_BYTES = 8 * 1024**3
+DENSITY_WORKING_SET = 25
+"""Peak working set of a density-matrix run, in copies of ρ.
+
+SciPy's RK45 holds 14 copies: its 7 stage rows, y, y_old, y_new, f, f_new,
+and dy and y + dy for the next stage. The dense output of the step that
+reaches t1 adds 4 (an n×4 array), the t_eval outputs 2 to 4, and the
+Lindblad right-hand side 3 or 4 temporaries, so 23 to 26 in all.
+tracemalloc measured peaks of 22.5 × one copy on the dim-160 Kerr-level
+point of fig2a_bus_decoherence (kpo_levels 4, bus_rate 0.1) and 24.2 × on
+the dim-80 effective fig4_output_fidelity point at N = 2.
+"""
 
 KINDS = (
     "gate_fidelity_sweep",
@@ -50,9 +61,6 @@ KINDS = (
 
 METRIC_COLUMNS = ("t_g", "f_avg", "f_out", "p_c", "chi_residual", "beta_total",
                   "bus_top", "runtime_s", "seed", "error")
-
-_TWO_PI_PARAMS = ("kerr", "j_coupling", "delta", "omega_p")
-_RATE_PARAMS = ("kappa", "gamma", "kappa0", "gamma0")
 
 
 class ConfigError(ValueError):
@@ -132,12 +140,10 @@ def load_spec(path: str | Path, mode_override: str | None = None,
         seed=seed,
         ceiling_bytes=int(doc.get("resource_ceiling_bytes", DEFAULT_CEILING_BYTES)),
     )
-    # kind-specific sanity checks happen while building the base config
+    # kind-specific sanity checks happen while building the base and point configs
     if kind not in ("cat_prep", "single_qubit"):
-        build_gate_config(spec)
-    if kind == "combined_fig4" and mode == "full":
-        cfg = build_gate_config(spec)
-        if cfg.n_qubits > 2:
+        configs = [build_gate_config(spec, p) for p in [{}, *spec.grid_points()]]
+        if kind == "combined_fig4" and mode == "full" and max(c.n_qubits for c in configs) > 2:
             raise ConfigError(
                 f"{path}: combined_fig4 in full mode is limited to n_qubits <= 2"
             )
@@ -157,10 +163,8 @@ def build_gate_config(spec: ExperimentSpec, overrides: dict | None = None) -> Ga
 
     def get(key, default=None):
         if key in overrides:
-            base = c.get(key)
-            if key in _TWO_PI_PARAMS and _two_pi_flag(base):
-                return 2.0 * np.pi * float(overrides[key])
-            return float(overrides[key])
+            v = float(overrides[key])
+            return 2.0 * np.pi * v if _two_pi_flag(c.get(key)) else v
         if key in c:
             return _resolve_value(c[key], key)
         return default
@@ -216,13 +220,8 @@ def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
     point, from arithmetic on the config alone; a point is a density-matrix
     run when any decay rate, including one the grid sets, is positive.
 
-    bytes_required counts one copy of the state, and the ceiling is compared
-    with that. The working set of a density run is a multiple of it (the RK45
-    stages, the dense output and the temporaries of the Lindblad right-hand
-    side): tracemalloc measured a peak of 9.24 MB, 22.6 × bytes_required, on
-    the dim-160 Kerr-level point of fig2a_bus_decoherence (kpo_levels 4,
-    bus_rate 0.1), and 24.2 × on the dim-80 effective fig4_output_fidelity
-    point at N = 2.
+    bytes_required counts one copy of the state. `run` compares the working
+    set of a density run, DENSITY_WORKING_SET copies, with the ceiling.
     """
     if spec.kind == "cat_prep":
         dim = int(spec.raw.get("config", {}).get("dim", 30))
@@ -254,7 +253,7 @@ def _base_record(point: dict, seed: int) -> dict:
     return rec
 
 
-def _gate_metrics(rec: dict, result) -> dict:
+def _gate_metrics(rec: dict, result) -> None:
     rec["t_g"] = result.t_end
     if result.f_avg is not None:
         rec["f_avg"] = result.f_avg
@@ -265,7 +264,6 @@ def _gate_metrics(rec: dict, result) -> dict:
     rec["chi_residual"] = result.chi_residual
     rec["beta_total"] = result.beta_total
     rec["bus_top"] = result.bus_top
-    return rec
 
 
 def compute_record(spec: ExperimentSpec, point: dict) -> dict:
@@ -290,79 +288,47 @@ def compute_record(spec: ExperimentSpec, point: dict) -> dict:
     return rec
 
 
-def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
-    rec = _base_record(point, spec.seed)
-    kind = spec.kind
-
-    if kind in ("gate_fidelity_sweep", "decoherence_sweep"):
-        cfg = build_gate_config(spec, point)
-        res = gates.run_gate(cfg, mode=spec.mode)
-        _gate_metrics(rec, res)
-
-    elif kind == "noise_stochastic":
-        n = spec.raw.get("noise", {})
-        eps_s = float(point.get("eps_s", n.get("eps_s", 0.0)))
-        seed = int(point.get("seed", spec.seed))
+def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule | None]:
+    """The config and schedule of one gate point; None runs run_gate's constant loop."""
+    cfg = build_gate_config(spec, point)
+    n = spec.raw.get("noise", {})
+    if spec.kind == "noise_stochastic":
         ns = noise.StochasticNoiseSpec(
-            eps_s=eps_s, seed=seed, n_events=int(n.get("n_events", 1000)),
+            eps_s=float(point.get("eps_s", n.get("eps_s", 0.0))),
+            seed=int(point.get("seed", spec.seed)),
+            n_events=int(n.get("n_events", 1000)),
             targets=tuple(n.get("targets", ["J"])),
         )
-        cfg = build_gate_config(spec, {k: v for k, v in point.items()
-                                       if k not in ("eps_s", "seed")})
-        sched = noise.noisy_schedule(cfg, ns, gates.gate_time(cfg))
-        res = gates.run_gate(cfg, schedule=sched, mode=spec.mode)
-        _gate_metrics(rec, res)
-
-    elif kind == "noise_systematic":
-        n = spec.raw.get("noise", {})
+        return cfg, noise.noisy_schedule(cfg, ns, gates.gate_time(cfg))
+    if spec.kind == "noise_systematic":
         targets = {k: int(v) for k, v in n.get("targets", {"t_g": -1}).items()}
         eps_a = float(point.get("eps_a", n.get("eps_a", 0.0)))
-        cfg = build_gate_config(spec, {k: v for k, v in point.items() if k != "eps_a"})
         if eps_a != 0.0:
             cfg = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(eps_a, targets))
-        res = gates.run_gate(cfg, mode=spec.mode)
-        _gate_metrics(rec, res)
-
-    elif kind == "switch_demo":
+        return cfg, None
+    if spec.kind == "switch_demo":
         eps_a = float(point.get("eps_a", 0.05))
-        scheme = point.get("scheme", "switched")
-        cfg = build_gate_config(spec, {k: v for k, v in point.items()
-                                       if k not in ("eps_a", "scheme")})
-        if scheme == "fixed":
-            run_cfg = cfg.replace(t_gate_factor=1.0 - eps_a)
-            res = gates.run_gate(run_cfg, mode=spec.mode)
-        else:
-            plan = gates.plan_detuning_switch(
-                cfg, eps_a, int(spec.raw.get("switch", {}).get("m_after", 1))
-            )
-            sched = plan.to_schedule(cfg.j_coupling)
-            # a -eps_a gate-time error stops the run exactly at the switch time
-            run_cfg = cfg.replace(
-                delta=plan.delta_before, t_gate_factor=plan.tau / plan.t_total
-            )
-            res = gates.run_gate(run_cfg, schedule=sched, mode=spec.mode)
-        _gate_metrics(rec, res)
-
-    elif kind == "combined_fig4":
-        n = spec.raw.get("noise", {})
+        if point.get("scheme", "switched") == "fixed":
+            return cfg.replace(t_gate_factor=1.0 - eps_a), None
+    elif spec.kind == "combined_fig4":
         eps_a = float(point.get("eps_a", n.get("eps_a", 0.05)))
-        cfg = build_gate_config(spec, {k: v for k, v in point.items() if k != "eps_a"})
-        plan = gates.plan_detuning_switch(
-            cfg, eps_a, int(spec.raw.get("switch", {}).get("m_after", 1))
-        )
-        sched = plan.to_schedule(cfg.j_coupling)
+    else:
+        return cfg, None
+    plan = gates.plan_detuning_switch(
+        cfg, eps_a, int(spec.raw.get("switch", {}).get("m_after", 1))
+    )
+    sched = plan.to_schedule(cfg.j_coupling)
+    if spec.kind == "combined_fig4":
         sys_spec = noise.SystematicNoiseSpec(eps_a, {"J": -1, "delta": -1})
         sched = noise.perturb_schedule(sched, sys_spec)
-        run_cfg = cfg.replace(
-            j_coupling=cfg.j_coupling * (1.0 - eps_a),
-            delta=plan.delta_before * (1.0 - eps_a),
-            t_gate_factor=plan.tau / plan.t_total,
-        )
-        res = gates.run_gate(run_cfg, schedule=sched, mode=spec.mode)
-        _gate_metrics(rec, res)
+    # a -eps_a gate-time error stops the run exactly at the switch time
+    return cfg.replace(t_gate_factor=plan.tau / plan.t_total), sched
 
-    elif kind == "cat_prep":
-        c = spec.raw.get("config", {})
+
+def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
+    rec = _base_record(point, spec.seed)
+    c = spec.raw.get("config", {})
+    if spec.kind == "cat_prep":
         kerr = _resolve_value(c.get("kerr", 1.0), "kerr")
         res = protocols.run_cat_prep(
             kerr,
@@ -375,9 +341,7 @@ def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
         )
         rec["f_out"] = res.fidelity
         rec["p_c"] = res.margin
-
-    elif kind == "single_qubit":
-        c = spec.raw.get("config", {})
+    elif spec.kind == "single_qubit":
         kerr = _resolve_value(c.get("kerr", 1.0), "kerr")
         alpha = float(c.get("alpha", 2.0))
         t_gate = float(point.get("t_gate", c.get("t_gate", 5.0 / kerr)))
@@ -392,9 +356,9 @@ def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
         )
         rec["t_g"] = t_gate
         rec["f_avg"] = res.fidelity
-
-    else:  # pragma: no cover - load_spec already validated the kind
-        raise ConfigError(f"unhandled kind {kind!r}")
+    else:
+        cfg, sched = _gate_run(spec, point)
+        _gate_metrics(rec, gates.run_gate(cfg, schedule=sched, mode=spec.mode))
     return rec
 
 
@@ -462,22 +426,16 @@ def run(config_path: str, out_dir: str, workers: int = 1,
     t0 = time.perf_counter()
     try:
         spec = load_spec(config_path, mode_override, seed_override)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         est = estimate_resources(spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if est.density and est.bytes_required > spec.ceiling_bytes:
-        print(
-            "resource refusal: density-matrix run needs "
-            f"{est.bytes_required} bytes (> ceiling {spec.ceiling_bytes})",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
-    try:
+        working_set = DENSITY_WORKING_SET * est.bytes_required
+        if est.density and working_set > spec.ceiling_bytes:
+            print(
+                f"resource refusal: density-matrix run needs about {working_set} bytes "
+                f"({DENSITY_WORKING_SET} copies of rho at {est.bytes_required} bytes; "
+                f"> ceiling {spec.ceiling_bytes})",
+                file=sys.stderr,
+            )
+            return EXIT_RESOURCE
         records = run_experiment(spec, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

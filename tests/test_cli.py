@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catms import cli
+from catms import cli, gates
 
 
 def _write(tmp_path: Path, doc: dict, name: str = "exp.json") -> Path:
@@ -117,14 +117,24 @@ def test_workers_do_not_change_results(tmp_path):
 
 
 def test_resource_refusal(tmp_path, capsys):
-    doc = _base_doc(mode="full")
-    doc["config"]["kpo_dim"] = 25
-    doc["config"]["bus_dim"] = 10
-    doc["config"]["kappa"] = 0.1  # density run: (10*25*25)^2 complex entries
-    doc["resource_ceiling_bytes"] = 10**6
-    p = _write(tmp_path, doc)
-    assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_RESOURCE
-    assert "resource refusal" in capsys.readouterr().err
+    one_copy = _base_doc(mode="full")
+    one_copy["config"]["kpo_dim"] = 25
+    one_copy["config"]["bus_dim"] = 10
+    one_copy["config"]["kappa"] = 0.1  # density run: (10*25*25)^2 complex entries
+    one_copy["resource_ceiling_bytes"] = 10**6
+    # one copy of the dim-32 effective ρ (16,384 bytes) fits under the ceiling,
+    # the working set of a density run does not
+    working_set = _base_doc()
+    working_set["config"]["kappa"] = 0.1
+    working_set["resource_ceiling_bytes"] = 10**5
+    spec = cli.load_spec(_write(tmp_path, working_set))
+    assert cli.estimate_resources(spec).bytes_required == 32**2 * 16 < 10**5
+    for doc, needs in ((one_copy, (10 * 25 * 25) ** 2 * 16), (working_set, 32**2 * 16)):
+        p = _write(tmp_path, doc)
+        assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "resource refusal" in err and str(cli.DENSITY_WORKING_SET * needs) in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_estimate_resources_examples():
@@ -160,7 +170,7 @@ def test_estimate_resources_size_the_model_of_each_grid_point(tmp_path):
     spec = cli.load_spec(_write(tmp_path, doc))
     est = cli.estimate_resources(spec)
     assert est.density and est.bytes_required == 2160**2 * 16 == 74_649_600
-    assert est.bytes_required <= spec.ceiling_bytes  # not refused
+    assert cli.DENSITY_WORKING_SET * est.bytes_required <= spec.ceiling_bytes  # not refused
 
 
 def test_csv_cells_are_numbers(tmp_path):
@@ -176,10 +186,48 @@ def test_csv_cells_are_numbers(tmp_path):
 
 
 def test_combined_fig4_full_mode_limited_to_two_qubits(tmp_path):
-    doc = _base_doc(kind="combined_fig4", mode="full", grid={})
-    doc["config"]["n_qubits"] = 3
-    with pytest.raises(cli.ConfigError, match="n_qubits"):
-        cli.load_spec(_write(tmp_path, doc))
+    base_n3 = _base_doc(kind="combined_fig4", mode="full", grid={})
+    base_n3["config"]["n_qubits"] = 3
+    grid_n3 = _base_doc(kind="combined_fig4", mode="full", grid={"n_qubits": [3]})
+    for doc in (base_n3, grid_n3):
+        with pytest.raises(cli.ConfigError, match="n_qubits"):
+            cli.load_spec(_write(tmp_path, doc))
+
+
+def test_grid_values_follow_the_two_pi_flag_of_their_base(tmp_path):
+    # one rule for every key, rates included: a flagged kappa of 0.01 is 2π·0.01
+    # rad/us in the base and in the grid; a bare gamma stays as written
+    doc = _base_doc(grid={"kappa": [0.01], "gamma": [0.02]})
+    doc["config"].update(kappa={"value": 0.01, "two_pi": True}, gamma=0.0)
+    spec = cli.load_spec(_write(tmp_path, doc))
+    base = cli.build_gate_config(spec)
+    assert base.kappa == 2.0 * np.pi * 0.01
+    (point,) = spec.grid_points()
+    cfg = cli.build_gate_config(spec, point)
+    assert cfg.kappa == base.kappa
+    assert cfg.gamma == 0.02
+    assert cfg.j_coupling == base.j_coupling  # the flagged base j_coupling, not gridded
+
+
+def test_noise_systematic_matches_its_equivalents(tmp_path):
+    # a -5 % gate-time error runs the constant loop to 0.95·t_g, as the fixed
+    # switch_demo scheme does; a -5 % J error is the plain gate at J·0.95
+    def record(kind, point, **noise):
+        doc = _base_doc(kind=kind, grid={})
+        if noise:
+            doc["noise"] = noise
+        return cli.compute_record(cli.load_spec(_write(tmp_path, doc)), point)
+
+    t_g = record("noise_systematic", {"eps_a": 0.05}, targets={"t_g": -1})
+    fixed = record("switch_demo", {"eps_a": 0.05, "scheme": "fixed"})
+    assert t_g["error"] == "" and t_g["f_avg"] < 1.0 - 1e-3
+    for col in ("t_g", "f_avg", "chi_residual", "beta_total", "bus_top"):
+        assert t_g[col] == fixed[col], col
+
+    j = record("noise_systematic", {"eps_a": 0.05}, targets={"J": -1})
+    cfg = cli.build_gate_config(cli.load_spec(_write(tmp_path, _base_doc(grid={}))))
+    ref = gates.run_gate(cfg.replace(j_coupling=cfg.j_coupling * 0.95), mode="effective")
+    assert j["error"] == "" and j["f_avg"] == ref.f_avg
 
 
 def test_bus_rate_alias_sets_both_bus_channels(tmp_path):
