@@ -306,14 +306,11 @@ def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule |
         if eps_a != 0.0:
             cfg = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(eps_a, targets))
         return cfg, None
-    if spec.kind == "switch_demo":
-        eps_a = float(point.get("eps_a", 0.05))
-        if point.get("scheme", "switched") == "fixed":
-            return cfg.replace(t_gate_factor=1.0 - eps_a), None
-    elif spec.kind == "combined_fig4":
-        eps_a = float(point.get("eps_a", n.get("eps_a", 0.05)))
-    else:
+    if spec.kind not in ("switch_demo", "combined_fig4"):
         return cfg, None
+    eps_a = float(point.get("eps_a", n.get("eps_a", 0.05)))
+    if spec.kind == "switch_demo" and point.get("scheme", "switched") == "fixed":
+        return cfg.replace(t_gate_factor=1.0 - eps_a), None
     plan = gates.plan_detuning_switch(
         cfg, eps_a, int(spec.raw.get("switch", {}).get("m_after", 1))
     )

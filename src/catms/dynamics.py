@@ -7,7 +7,10 @@ side; the Josephson path of the single-qubit gate runs through it.
 
 For piecewise-constant generators there is also an exact propagator: SciPy's
 expm_multiply applies each segment's exponential to a vector or to a block of
-columns, which is how the gate runner propagates the computational basis.
+columns. The gate runner propagates the computational basis of a coherent
+full-mode gate with it. A coherent effective-mode gate does not use it: its
+generator commutes with S_x, so gates.sx_block_columns propagates it as N+1
+small bus blocks.
 """
 from __future__ import annotations
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .dynamics import IntegratorSettings, evolve_density, propagate_piecewise
@@ -82,49 +81,68 @@ def loop_trajectory(schedule: Schedule, alpha: float, t: float) -> tuple[complex
     return complex(chi_acc), float(beta_acc)
 
 
-# --- closed-form propagators ----------------------------------------------------
+# --- S_x blocks and closed-form propagators ----------------------------------------
 
 
-def _sx_qubit_matrix(n_qubits: int) -> np.ndarray:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for k in range(n_qubits):
-        term = np.array([[1.0 + 0j]])
-        for j in range(n_qubits):
-            term = np.kron(term, sx if j == k else np.eye(2))
-        total += term
-    return 0.5 * total
+def sx_blocks(n_qubits: int) -> list[tuple[float, np.ndarray]]:
+    """(s, P_s) for each eigenvalue s = N/2, N/2 − 1, …, −N/2 of S_x = (1/2)Σσx_n.
+
+    P_s projects the 2^N qubit space onto S_x = s. The Hadamard transform
+    H^{⊗N} diagonalises every σx_n, with σx_n = −1 on the columns whose bit n
+    is set, so S_x = N/2 − k on the columns with k bits set.
+    """
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    hn = np.ones((1, 1))
+    for _ in range(n_qubits):
+        hn = np.kron(hn, h)
+    ones = np.array([bin(k).count("1") for k in range(2**n_qubits)])
+    return [(n_qubits / 2.0 - k, hn[:, ones == k] @ hn[:, ones == k].T)
+            for k in range(n_qubits + 1)]
 
 
 def ms_target_matrix(n_qubits: int) -> np.ndarray:
     """Ideal gate on the 2^N computational subspace: exp(+i (π/2) S_x²)."""
-    sx = _sx_qubit_matrix(n_qubits)
-    return scipy.linalg.expm(1j * (np.pi / 2.0) * (sx @ sx))
+    return sum(np.exp(1j * (np.pi / 2.0) * s**2) * p for s, p in sx_blocks(n_qubits))
 
 
 def ms_unitary(config: GateConfig, chi_val: complex, beta_val: float) -> np.ndarray:
     """exp(−i[χ a0† S_x + h.c.]) · exp(−iβ S_x²) on the qubit-level space.
 
-    Built block-wise in the S_x eigenbasis: on each eigenspace with eigenvalue
-    s the first factor is the bus displacement-type exponential of s·(χa0†+h.c.)
-    and the second is the phase e^{−iβs²}. Returns a dense matrix: every block
-    is dense, so a sparse format only slows the products built from it.
+    Built block-wise over sx_blocks: on the S_x = s subspace the first factor
+    is the bus displacement-type exponential of s·(χa0†+h.c.) and the second
+    is the phase e^{−iβs²}. Returns a dense matrix: every block is dense, so a
+    sparse format only slows the products built from it.
     """
-    n, bus_dim = config.n_qubits, config.bus_dim
-    dim = bus_dim * 2**n
-    sxq = _sx_qubit_matrix(n)
-    w, v = np.linalg.eigh(sxq)
+    bus_dim = config.bus_dim
     a = np.diag(np.sqrt(np.arange(1, bus_dim)), 1).astype(complex)
     gen = chi_val * a.conj().T + np.conj(chi_val) * a
     g, q = np.linalg.eigh(gen)
-    u = np.zeros((dim, dim), dtype=complex)
-    # group degenerate S_x eigenvalues so each bus exponential is computed once
-    for s in np.unique(np.round(w, 12)):
-        sel = np.abs(w - s) < 1e-9
-        proj = v[:, sel] @ v[:, sel].conj().T
-        bus_block = (q * np.exp(-1j * s * g)) @ q.conj().T
-        u += np.kron(bus_block, np.exp(-1j * beta_val * s**2) * proj)
-    return u
+    return sum(np.kron((q * np.exp(-1j * s * g)) @ q.conj().T,
+                       np.exp(-1j * beta_val * s**2) * p)
+               for s, p in sx_blocks(config.n_qubits))
+
+
+def sx_block_columns(config: GateConfig, schedule: Schedule) -> np.ndarray:
+    """Π_k exp(−iH_k dt_k) applied to the columns |0⟩_bus ⊗ |q⟩ of GateModel.effective.
+
+    Every segment generator Δ·n0 + 2Jα S_x(a0 + a0†) commutes with S_x, so on
+    the S_x = s subspace it is the real-symmetric bus block
+    H_s = Δ·n + 2Jα s(a + a†) of size bus_dim (Sørensen & Mølmer, PRA 62,
+    022311 (2000)). Each segment diagonalises the N+1 blocks together and
+    propagates their bus vacua; the columns, in basis-state order, are
+    Σ_s (U_s|0⟩) ⊗ P_s. The result is exact in the truncated bus.
+    """
+    dim = config.bus_dim
+    x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    n = np.diag(np.arange(float(dim)))
+    blocks = sx_blocks(config.n_qubits)
+    coupling = (2.0 * config.alpha) * np.array([s for s, _ in blocks])[:, None, None] * (x + x.T)
+    psi = np.zeros((len(blocks), dim, 1), dtype=complex)
+    psi[:, 0] = 1.0
+    for t0, t1, d, j, _ in schedule.segments():
+        w, v = np.linalg.eigh(d * n + j * coupling)
+        psi = v @ (np.exp(-1j * (t1 - t0) * w)[:, :, None] * (v.transpose(0, 2, 1) @ psi))
+    return sum(np.kron(col, p) for col, (_, p) in zip(psi, blocks))
 
 
 def ms_closed_form(t: float, config: GateConfig) -> SparseOperator:
@@ -369,6 +387,11 @@ class GateModel:
         return cls(config, "full", np.diag(energies), a_red,
                    [(config.kappa, a_red), (config.gamma, n_red)], cats)
 
+    def generators(self, schedule: Schedule) -> list:
+        """(Δ·n0 + h_rest + J·c, dt) of every segment of `schedule`, as CSR matrices."""
+        return [((d * self.n0 + self.h_rest + j * self.c).tocsr(), t1 - t0)
+                for t0, t1, d, j, _ in schedule.segments()]
+
     def basis_vector(self, qbs: QubitBasisState) -> np.ndarray:
         """|0⟩_bus ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on `space`."""
         v = np.zeros(self.space.mode_dims[0], dtype=complex)
@@ -385,9 +408,14 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     Mode "effective" runs GateModel.effective; mode "full" runs
     GateModel.kerr_levels when config.kpo_levels is set, else GateModel.fock.
     Coherent runs (all decay rates zero) propagate the full computational basis
-    as one block of columns and report the average gate fidelity; dissipative
-    runs evolve the density matrix of `input_state` (default: all qubits in
-    |C+>) and report F_out and, in full mode, the no-leakage probability P_C.
+    as one block of columns and report the average gate fidelity. In
+    effective mode the generator commutes with S_x, so sx_block_columns
+    propagates N+1 bus blocks; in full mode propagate_piecewise applies each
+    segment's exponential by expm_multiply. Dissipative runs evolve the
+    density matrix of `input_state` (default: all qubits in |C+>) and report
+    F_out and, in full mode, the no-leakage probability P_C. They take the
+    Lindblad path in both modes: the σy part of the effective model's flip
+    channel does not commute with S_x, so it mixes the blocks.
     Both report bus_top, a witness of bus truncation: the population left in
     the top bus Fock level at the end (the largest over the columns, or the
     trace of ρ's top-level block). The final state, when the run has one (a
@@ -412,8 +440,6 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     else:
         model = GateModel.kerr_levels(config)
     space = model.space
-    segs = [((d * model.n0 + model.h_rest + j * model.c).tocsr(), t1 - t0)
-            for t0, t1, d, j, _ in sched.segments()]
     unrotate = np.exp(1j * sched.phase(t_end) * model.n0.diagonal().real)
     n = config.n_qubits
     # the bus is the leading mode, so its top Fock level is the last `rest` rows
@@ -424,7 +450,11 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     )
     if not decohering:
         b = np.stack([model.basis_vector(q) for q in all_basis_states(n)], axis=1)
-        u = unrotate[:, None] * propagate_piecewise(segs, b)
+        if mode == "effective":
+            u = sx_block_columns(config, sched)
+        else:
+            u = propagate_piecewise(model.generators(sched), b)
+        u = unrotate[:, None] * u
         m = ms_target_matrix(n).conj().T @ (b.conj().T @ u)
         result.propagator = m
         result.f_avg = average_gate_fidelity(m)
@@ -437,7 +467,7 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
             input_state = QubitBasisState((CatParity.EVEN,) * n)
         rho = StateVector(space, model.basis_vector(input_state)).outer()
         settings = IntegratorSettings(rtol=1e-7, atol=1e-9)
-        for h, dt in segs:
+        for h, dt in model.generators(sched):
             rho = evolve_density(SparseOperator(space, h), model.channels, rho, (0.0, dt),
                                  settings, check_positivity=False)
         state = DensityMatrix(space, (unrotate[:, None] * rho.entries) * unrotate.conj()[None, :])

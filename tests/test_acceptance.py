@@ -107,7 +107,9 @@ def test_03_two_and_three_qubit_fidelity_sweep():
 
 
 def test_04_bit_flip_error_commutes_with_gate():
-    t_start = time.perf_counter()
+    # CPU time of the whole process (every thread), so the bound does not
+    # depend on what else shares the host
+    t_start = time.process_time()
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
@@ -117,7 +119,7 @@ def test_04_bit_flip_error_commutes_with_gate():
         tau = float(rng.uniform(0.05, 0.95)) * gates.gate_time(cfg)
         qubit = int(rng.integers(1, n_q + 1))
         worst = max(worst, gates.verify_error_bias(cfg, tau, qubit, bus_dim=12))
-    elapsed = time.perf_counter() - t_start
+    elapsed = time.process_time() - t_start
     ok = worst < 1e-10 and elapsed < 1.0
     report(4, "error-bias preservation over 50 random draws", ok,
            f"worst distance={worst:.2e}, {elapsed:.2f}s")

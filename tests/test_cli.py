@@ -230,6 +230,18 @@ def test_noise_systematic_matches_its_equivalents(tmp_path):
     assert j["error"] == "" and j["f_avg"] == ref.f_avg
 
 
+def test_switch_demo_falls_back_to_noise_eps_a(tmp_path):
+    # with no eps_a grid, switch_demo reads noise.eps_a, as combined_fig4 and
+    # noise_systematic do, instead of its 0.05 default
+    doc = _base_doc(kind="switch_demo", grid={"scheme": ["fixed", "switched"]},
+                    noise={"eps_a": 0.2})
+    spec = cli.load_spec(_write(tmp_path, doc))
+    (fixed, _), (switched, _) = (cli._gate_run(spec, p) for p in spec.grid_points())
+    assert fixed.t_gate_factor == pytest.approx(0.8, abs=1e-15)
+    plan = gates.plan_detuning_switch(cli.build_gate_config(spec), 0.2)
+    assert switched.t_gate_factor == plan.tau / plan.t_total
+
+
 def test_bus_rate_alias_sets_both_bus_channels(tmp_path):
     p = _write(tmp_path, _base_doc(grid={}))
     spec = cli.load_spec(p)
