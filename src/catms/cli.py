@@ -48,16 +48,22 @@ point of fig2a_bus_decoherence (kpo_levels 4, bus_rate 0.1) and 24.2 × on
 the dim-80 effective fig4_output_fidelity point at N = 2.
 """
 
-KINDS = (
-    "gate_fidelity_sweep",
-    "decoherence_sweep",
-    "noise_stochastic",
-    "noise_systematic",
-    "switch_demo",
-    "combined_fig4",
-    "cat_prep",
-    "single_qubit",
-)
+_GATE_KEYS = frozenset({"n_qubits", "kerr", "alpha", "omega_p", "j_coupling", "delta",
+                        "m_loops", "kappa", "gamma", "kappa0", "gamma0", "bus_rate",
+                        "bus_dim", "kpo_dim", "kpo_levels"})
+GRID_KEYS = {
+    "gate_fidelity_sweep": _GATE_KEYS,
+    "decoherence_sweep": _GATE_KEYS,
+    "noise_stochastic": _GATE_KEYS | {"eps_s"},
+    "noise_systematic": _GATE_KEYS | {"eps_a"},
+    "switch_demo": _GATE_KEYS | {"eps_a", "scheme"},
+    "combined_fig4": _GATE_KEYS | {"eps_a"},
+    "cat_prep": frozenset({"alpha", "t0", "initial_fock"}),
+    "single_qubit": frozenset({"t_gate", "target", "use_h_add"}),
+}
+"""The grid keys that each kind's computation reads; `seed` is accepted by
+every kind, since it fills the `seed` column."""
+KINDS = tuple(GRID_KEYS)
 
 METRIC_COLUMNS = ("t_g", "f_avg", "f_out", "p_c", "chi_residual", "beta_total",
                   "bus_top", "runtime_s", "seed", "error")
@@ -130,6 +136,12 @@ def load_spec(path: str | Path, mode_override: str | None = None,
     grid = doc.get("grid", {})
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError(f"{path}: 'grid' must map parameter names to lists")
+    unread = set(grid) - GRID_KEYS[kind] - {"seed"}
+    base = doc.get("config")
+    if "alpha" in grid or (isinstance(base, dict) and "alpha" in base):
+        unread |= {"omega_p"} & set(grid)  # the drive follows from alpha
+    if unread:
+        raise ConfigError(f"{path}: grid keys {sorted(unread)} are not read by kind {kind!r}")
     seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
     spec = ExperimentSpec(
         kind=kind,
@@ -169,23 +181,26 @@ def build_gate_config(spec: ExperimentSpec, overrides: dict | None = None) -> Ga
             return _resolve_value(c[key], key)
         return default
 
+    def get_int(key, default=None):
+        v = overrides.get(key, c.get(key, default))
+        return None if v is None else int(v)
+
     try:
-        n_qubits = int(overrides.get("n_qubits", c.get("n_qubits", 2)))
+        n_qubits = get_int("n_qubits", 2)
         kerr = get("kerr")
         j = get("j_coupling")
         if kerr is None or j is None:
             raise ConfigError("config requires 'kerr' and 'j_coupling'")
-        m_loops = int(c.get("m_loops", 1))
+        m_loops = get_int("m_loops", 1)
         kw = dict(
             kappa=get("kappa", 0.0),
             gamma=get("gamma", 0.0),
             kappa0=get("kappa0", 0.0),
             gamma0=get("gamma0", 0.0),
-            bus_dim=int(c.get("bus_dim", 10)),
-            kpo_dim=int(c.get("kpo_dim", 25)),
+            bus_dim=get_int("bus_dim", 10),
+            kpo_dim=get_int("kpo_dim", 25),
+            kpo_levels=get_int("kpo_levels"),
         )
-        if c.get("kpo_levels") is not None:
-            kw["kpo_levels"] = int(c["kpo_levels"])
         if "alpha" in c or "alpha" in overrides:
             alpha = float(overrides.get("alpha", c.get("alpha")))
             delta = get("delta")

@@ -1,7 +1,9 @@
 """Time integration of Schrödinger and Lindblad dynamics.
 
 evolve_state and evolve_density integrate with SciPy's adaptive embedded
-Runge-Kutta (RK45) and return the state at the end of the span.
+Runge-Kutta (RK45). States are NumPy arrays: evolve_state takes and returns a
+state vector, evolve_density a dense density matrix, each at the end of the
+span.
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
 
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
-from .hilbert import DensityMatrix, SparseOperator, StateVector
+from .hilbert import SparseOperator
 
 
 class ToleranceBreach(RuntimeError):
@@ -73,11 +75,12 @@ def _term_sum(terms, t, apply):
     return total
 
 
-def evolve_state(h, psi0: StateVector, t_span,
-                 settings: IntegratorSettings | None = None) -> StateVector:
-    """Integrate i dψ/dt = H(t) ψ and return ψ at the end of t_span.
+def evolve_state(h, psi0: np.ndarray, t_span,
+                 settings: IntegratorSettings | None = None) -> np.ndarray:
+    """Integrate i dψ/dt = H(t) ψ from the vector psi0 and return ψ at the end of t_span.
 
-    h is a SparseOperator or a term list (see _terms).
+    h is a SparseOperator or a term list (see _terms). A norm drift above
+    1e-6 is warned about.
     """
     settings = settings or IntegratorSettings()
     terms = _terms(h)
@@ -85,25 +88,28 @@ def evolve_state(h, psi0: StateVector, t_span,
     def rhs(t, y):
         return -1j * _term_sum(terms, t, lambda m: m @ y)
 
-    v = _integrate(rhs, psi0.amplitudes, t_span, settings,
+    v = _integrate(rhs, psi0, t_span, settings,
                    time_dependent=any(f is not None for _, f in terms))
     drift = abs(np.linalg.norm(v) - 1.0)
     if drift > 1e-6:
         warnings.warn(f"state norm drifted by {drift:.2e}; tighten tolerances", stacklevel=2)
-    return StateVector(psi0.space, v)
+    return v
 
 
-def evolve_density(h, collapse_channels, rho0: DensityMatrix, t_span,
+def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
                    settings: IntegratorSettings | None = None,
-                   check_positivity: bool | None = None) -> DensityMatrix:
+                   check_positivity: bool | None = None) -> np.ndarray:
     """Integrate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
 
-    Returns ρ at the end of t_span. h is a SparseOperator or a term list
-    (see _terms).
+    rho0 is a dense square matrix; returns ρ at the end of t_span, made
+    Hermitian. h is a SparseOperator or a term list (see _terms), and each
+    collapse channel contributes ch.rate·D[ch.op]. A trace drift above 1e-6
+    is warned about; a result with an eigenvalue below −1e-6 raises
+    ToleranceBreach (checked by default up to dimension 256).
     """
     settings = settings or IntegratorSettings()
     terms = _terms(h)
-    dim = rho0.space.dim
+    dim = rho0.shape[0]
 
     ops = []
     for ch in collapse_channels:
@@ -117,17 +123,17 @@ def evolve_density(h, collapse_channels, rho0: DensityMatrix, t_span,
             out += rate * ((o @ rho) @ od - 0.5 * (oo @ rho + rho @ oo))
         return out.ravel()
 
-    v = _integrate(rhs, rho0.entries.ravel(), t_span, settings,
+    v = _integrate(rhs, rho0.ravel(), t_span, settings,
                    time_dependent=any(f is not None for _, f in terms))
     m = v.reshape(dim, dim)
-    rho = DensityMatrix(rho0.space, (m + m.conj().T) / 2)  # enforce Hermiticity
-    tr_drift = abs(rho.trace() - 1.0)
+    rho = (m + m.conj().T) / 2  # enforce Hermiticity
+    tr_drift = abs(np.trace(rho) - 1.0)
     if tr_drift > 1e-6:
         warnings.warn(f"trace drifted by {tr_drift:.2e}; tighten tolerances", stacklevel=2)
     if check_positivity is None:
         check_positivity = dim <= 256
     if check_positivity:
-        w = np.linalg.eigvalsh(rho.entries)
+        w = np.linalg.eigvalsh(rho)
         if w.min() < -1e-6:
             raise ToleranceBreach(f"min eigenvalue {w.min():.2e} below -1e-6")
     return rho
@@ -179,16 +185,13 @@ def _rk4_integrate(rhs, y0, t0, t1, dt):
 def expm_apply(matrix, block: np.ndarray, coeff: complex) -> np.ndarray:
     """exp(coeff * A) @ block, by SciPy's expm_multiply (Al-Mohy & Higham 2011).
 
-    block is a vector or a 2-D block of columns; A is sparse, dense or a
-    SparseOperator.
+    block is a vector or a 2-D block of columns; A is a sparse or dense matrix.
     """
-    if isinstance(matrix, SparseOperator):
-        matrix = matrix.matrix
     return expm_multiply(coeff * matrix, block)
 
 
 def propagate_piecewise(segments, block: np.ndarray) -> np.ndarray:
-    """Apply Π_k exp(-i H_k dt_k) to block; segments are (H, dt) with H sparse/operator.
+    """Apply Π_k exp(-i H_k dt_k) to block; segments are (H, dt) with H a sparse matrix.
 
     block is a vector or a 2-D block of columns, propagated together.
     """

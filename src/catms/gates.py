@@ -7,24 +7,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import IntegratorSettings, evolve_density, propagate_piecewise
-from .hilbert import (
-    DensityMatrix,
-    SparseOperator,
-    StateVector,
-    annihilation,
-    dagger,
-    make_space,
-    number_op,
-    tensor_embed,
-)
-from .model import (
-    CollapseChannel,
-    GateConfig,
-    Schedule,
-    h_kerr_single,
-    kerr_level_isometry,
-    pauli,
-)
+from .hilbert import SparseOperator, annihilation, dagger, make_space, number_op, tensor_embed
+from .model import CollapseChannel, GateConfig, Schedule, h_kerr_single, kerr_level_isometry
 from .states import (
     CatParity,
     QubitBasisState,
@@ -145,12 +129,6 @@ def sx_block_columns(config: GateConfig, schedule: Schedule) -> np.ndarray:
     return sum(np.kron(col, p) for col, (_, p) in zip(psi, blocks))
 
 
-def ms_closed_form(t: float, config: GateConfig) -> SparseOperator:
-    """Exact effective-model propagator U_MS(t) on the qubit-level space."""
-    return SparseOperator(config.qubit_space,
-                          ms_unitary(config, chi(t, config), beta(t, config)))
-
-
 # --- fidelity and leakage metrics -------------------------------------------------
 
 
@@ -163,7 +141,7 @@ def average_gate_fidelity(m: np.ndarray) -> float:
     return float((np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / (d**2 + d))
 
 
-def output_fidelity(state, model: GateModel, input_state: QubitBasisState) -> float:
+def output_fidelity(state: np.ndarray, model: GateModel, input_state: QubitBasisState) -> float:
     """F_out = ⟨ψ_out|ρ|ψ_out⟩ against the ideal output U_MS(t_g)|input⟩ (β = −π/2)."""
     n_qubits = model.space.n_modes - 1
     col = ms_target_matrix(n_qubits)[:, input_state.index]
@@ -171,10 +149,10 @@ def output_fidelity(state, model: GateModel, input_state: QubitBasisState) -> fl
     for k, b in enumerate(all_basis_states(n_qubits)):
         if abs(col[k]) > 0:
             amps += col[k] * model.basis_vector(b)
-    return fidelity(state, StateVector(model.space, amps))
+    return fidelity(state, amps)
 
 
-def no_leakage(state, model: GateModel) -> float:
+def no_leakage(state: np.ndarray, model: GateModel) -> float:
     """P_C: population left in the joint cat manifold (no KPO has leaked).
 
     It is the weight of the state under the map I_bus ⊗ C ⊗ … ⊗ C, where the
@@ -184,10 +162,10 @@ def no_leakage(state, model: GateModel) -> float:
     amap = sp.identity(model.space.mode_dims[0], dtype=complex, format="csr")
     for _ in range(model.space.n_modes - 1):
         amap = sp.kron(amap, rows, format="csr")
-    if isinstance(state, DensityMatrix):
-        proj = amap @ state.entries @ amap.conj().T.tocsr()
+    if state.ndim == 2:
+        proj = amap @ state @ amap.conj().T.tocsr()
         return float(np.real(np.trace(proj)))
-    w = amap @ state.amplitudes
+    w = amap @ state
     return float(np.real(np.vdot(w, w)))
 
 
@@ -195,8 +173,10 @@ def no_leakage(state, model: GateModel) -> float:
 
 
 def verify_error_bias(config: GateConfig, tau_err: float, qubit: int,
-                      error_axis: str = "x", bus_dim: int = 40) -> float:
-    """Max-entry distance ‖U(t_g←τ) σ U(τ←0) − σ U_MS(t_g)‖ from closed forms.
+                      bus_dim: int = 40) -> float:
+    """Max-entry distance ‖U(t_g←τ) σx U(τ←0) − σx U_MS(t_g)‖ from closed forms.
+
+    σx is the bit flip of KPO `qubit` (1-based) on the qubit-level space.
 
     Both segment propagators are built independently from the loop integrals,
     so this checks the bias identity rather than assuming it.
@@ -219,7 +199,9 @@ def verify_error_bias(config: GateConfig, tau_err: float, qubit: int,
     chit, betat = loop_trajectory(sched, cfg.alpha, t_g)
     utot = ms_unitary(cfg, chit, betat)
 
-    err = pauli(cfg.qubit_space, qubit, error_axis).to_dense()
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    err = np.kron(np.eye(bus_dim * 2 ** (qubit - 1)),
+                  np.kron(sx, np.eye(2 ** (cfg.n_qubits - qubit))))
     return float(np.abs(u2 @ err @ u1 - err @ utot).max())
 
 
@@ -284,7 +266,7 @@ class GateRunResult:
     beta_total: float = 0.0
     bus_top: float | None = None  # population left in the top bus Fock level
     propagator: np.ndarray | None = None
-    final_state: object | None = None
+    final_state: np.ndarray | None = None
 
 
 def model_dims(config: GateConfig, mode: str) -> tuple[int, ...]:
@@ -461,17 +443,18 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         result.bus_top = float((np.abs(u[-rest:]) ** 2).sum(axis=0).max())
         if input_state is None:
             return result
-        state = StateVector(space, u[:, input_state.index])
+        state = u[:, input_state.index]
     else:
         if input_state is None:
             input_state = QubitBasisState((CatParity.EVEN,) * n)
-        rho = StateVector(space, model.basis_vector(input_state)).outer()
+        v = model.basis_vector(input_state)
+        rho = np.outer(v, v.conj())
         settings = IntegratorSettings(rtol=1e-7, atol=1e-9)
         for h, dt in model.generators(sched):
             rho = evolve_density(SparseOperator(space, h), model.channels, rho, (0.0, dt),
                                  settings, check_positivity=False)
-        state = DensityMatrix(space, (unrotate[:, None] * rho.entries) * unrotate.conj()[None, :])
-        result.bus_top = float(np.trace(state.entries[-rest:, -rest:]).real)
+        state = (unrotate[:, None] * rho) * unrotate.conj()[None, :]
+        result.bus_top = float(np.trace(state[-rest:, -rest:]).real)
     result.f_out = output_fidelity(state, model, input_state)
     if model.leaks:
         result.p_c = no_leakage(state, model)

@@ -1,8 +1,9 @@
 """Truncated multimode Fock spaces and sparse operator algebra.
 
 All operators are complex sparse matrices (CSR) over a fixed mode layout.
-Mode 0 is the bus cavity by convention and is the slowest-varying tensor
-index (row-major layout).
+Modes are addressed by index. Mode 0 is the bus cavity by convention and is
+the slowest-varying tensor index (row-major layout). States are plain NumPy
+arrays: a vector for a pure state, a square matrix for a density matrix.
 """
 from __future__ import annotations
 
@@ -20,17 +21,12 @@ class HilbertSpace:
     """Ordered list of bosonic mode truncations with row-major index layout."""
 
     mode_dims: tuple[int, ...]
-    mode_labels: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.mode_dims) == 0:
             raise ValueError("space needs at least one mode")
         if any(d < 2 for d in self.mode_dims):
             raise ValueError("every mode dimension must be >= 2")
-        if len(self.mode_labels) != len(self.mode_dims):
-            raise ValueError("labels/dims length mismatch")
-        if len(set(self.mode_labels)) != len(self.mode_labels):
-            raise ValueError("mode labels must be unique")
 
     @property
     def dim(self) -> int:
@@ -40,23 +36,15 @@ class HilbertSpace:
     def n_modes(self) -> int:
         return len(self.mode_dims)
 
-    def mode_index(self, mode: str | int) -> int:
-        if isinstance(mode, int):
-            if not 0 <= mode < self.n_modes:
-                raise ValueError(f"mode index {mode} out of range")
-            return mode
-        try:
-            return self.mode_labels.index(mode)
-        except ValueError:
-            raise ValueError(f"unknown mode {mode!r}") from None
+    def mode_index(self, mode: int) -> int:
+        if not 0 <= mode < self.n_modes:
+            raise ValueError(f"mode index {mode} out of range")
+        return mode
 
 
-def make_space(mode_dims, labels=None) -> HilbertSpace:
-    """Build a HilbertSpace; default labels are "a0", "a1", ..."""
-    dims = tuple(int(d) for d in mode_dims)
-    if labels is None:
-        labels = tuple(f"a{k}" for k in range(len(dims)))
-    return HilbertSpace(dims, tuple(labels))
+def make_space(mode_dims) -> HilbertSpace:
+    """HilbertSpace of the given mode dimensions, bus first."""
+    return HilbertSpace(tuple(int(d) for d in mode_dims))
 
 
 @dataclass(frozen=True)
@@ -112,47 +100,6 @@ def dagger(op: SparseOperator) -> SparseOperator:
     return SparseOperator(op.space, op.matrix.getH().tocsr())
 
 
-# --- states ----------------------------------------------------------------
-
-
-@dataclass
-class StateVector:
-    """Pure state; constructors in this package normalize on creation."""
-
-    space: HilbertSpace
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if v.size != self.space.dim:
-            raise ValueError("amplitude length does not match space")
-        self.amplitudes = v
-
-    def dagger_dot(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def outer(self) -> "DensityMatrix":
-        v = self.amplitudes
-        return DensityMatrix(self.space, np.outer(v, v.conj()))
-
-
-@dataclass
-class DensityMatrix:
-    """Mixed state as a dense complex square matrix."""
-
-    space: HilbertSpace
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValueError("matrix shape does not match space")
-        self.entries = m
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-
 # --- single-mode builders and embedding ------------------------------------
 
 
@@ -161,20 +108,20 @@ def _annihilation_matrix(dim: int) -> sp.csr_matrix:
     return sp.diags(data, offsets=1, format="csr", dtype=complex)
 
 
-def annihilation(space: HilbertSpace, mode) -> SparseOperator:
+def annihilation(space: HilbertSpace, mode: int) -> SparseOperator:
     """Lowering operator on one mode, identity on the rest."""
     k = space.mode_index(mode)
     a = _annihilation_matrix(space.mode_dims[k])
     return _embed_matrix(a, space, k)
 
 
-def number_op(space: HilbertSpace, mode) -> SparseOperator:
+def number_op(space: HilbertSpace, mode: int) -> SparseOperator:
     k = space.mode_index(mode)
     n = sp.diags(np.arange(space.mode_dims[k], dtype=float), format="csr", dtype=complex)
     return _embed_matrix(n, space, k)
 
 
-def displacement(space: HilbertSpace, mode, amp: complex) -> SparseOperator:
+def displacement(space: HilbertSpace, mode: int, amp: complex) -> SparseOperator:
     """D(amp) = exp(amp a† - amp* a) on one mode (dense expm on that mode)."""
     k = space.mode_index(mode)
     dim = space.mode_dims[k]
@@ -200,7 +147,7 @@ def _embed_matrix(m: sp.spmatrix, space: HilbertSpace, k: int) -> SparseOperator
     return SparseOperator(space, out)
 
 
-def tensor_embed(op: SparseOperator, space: HilbertSpace, mode) -> SparseOperator:
+def tensor_embed(op: SparseOperator, space: HilbertSpace, mode: int) -> SparseOperator:
     """Embed a single-mode operator into a multimode space via Kronecker products."""
     if op.space.n_modes != 1:
         raise ValueError("tensor_embed expects a single-mode operator")

@@ -11,18 +11,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hilbert import (
-    HilbertSpace,
-    SparseOperator,
-    annihilation,
-    dagger,
-    make_space,
-    tensor_embed,
-)
-
-TWO_PI = 2.0 * np.pi
+from .hilbert import SparseOperator, annihilation, dagger, make_space
 
 
 @dataclass(frozen=True)
@@ -82,20 +72,6 @@ class GateConfig:
     @property
     def alpha(self) -> float:
         return float(np.sqrt(self.omega_p / self.kerr))
-
-    @cached_property
-    def space(self) -> HilbertSpace:
-        """Full space: bus first, then the N KPO modes."""
-        dims = [self.bus_dim] + [self.kpo_dim] * self.n_qubits
-        labels = ["a0"] + [f"a{n}" for n in range(1, self.n_qubits + 1)]
-        return make_space(dims, labels)
-
-    @cached_property
-    def qubit_space(self) -> HilbertSpace:
-        """Reduced space: bus mode plus one two-level system per KPO."""
-        dims = [self.bus_dim] + [2] * self.n_qubits
-        labels = ["a0"] + [f"q{n}" for n in range(1, self.n_qubits + 1)]
-        return make_space(dims, labels)
 
     def replace(self, **kw) -> "GateConfig":
         out = replace(self, **kw)
@@ -192,8 +168,7 @@ class CollapseChannel:
 
 def h_kerr_single(kerr: float, omega_p: float, dim: int) -> SparseOperator:
     """-K a†²a² + Ωp(a² + a†²) on an isolated mode."""
-    space = make_space([dim], ["a"])
-    a = annihilation(space, "a")
+    a = annihilation(make_space([dim]), 0)
     a2 = a @ a
     return (-kerr) * (dagger(a2) @ a2) + omega_p * (a2 + dagger(a2))
 
@@ -211,37 +186,3 @@ def kerr_level_isometry(kerr: float, omega_p: float, dim: int, n_levels: int):
     w, v = np.linalg.eigh(hk)
     order = np.argsort(w)[::-1][:n_levels]
     return w[order].copy(), np.ascontiguousarray(v[:, order])
-
-
-# --- qubit-level (cat-manifold) operators ------------------------------------
-
-_SX = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-_SY = sp.csr_matrix(np.array([[0, 1j], [-1j, 0]], dtype=complex))
-_SZ = sp.csr_matrix(np.array([[-1, 0], [0, 1]], dtype=complex))
-# basis convention: index 0 = |C+>, index 1 = |C->; sigma+ = |C-><C+|.
-
-
-def pauli(space: HilbertSpace, n: int, which: str) -> SparseOperator:
-    """Pauli operator of qubit n (1-based) embedded in a qubit-level space."""
-    mat = {"x": _SX, "y": _SY, "z": _SZ}[which]
-    single = SparseOperator(make_space([2], ["q"]), mat)
-    return tensor_embed(single, space, f"q{n}")
-
-
-def sx_total(config: GateConfig) -> SparseOperator:
-    """S_x = (1/2) Σ_n σ_n^x on the qubit-level space."""
-    space = config.qubit_space
-    out = None
-    for n in range(1, config.n_qubits + 1):
-        p = pauli(space, n, "x")
-        out = p if out is None else out + p
-    return 0.5 * out
-
-
-def h_eff_spin_boson(config: GateConfig, t: float, phase: float | None = None) -> SparseOperator:
-    """Cat-manifold effective Hamiltonian 2Jα S_x (a0 e^{-iΔt} + a0† e^{iΔt})."""
-    ph = config.delta * t if phase is None else phase
-    space = config.qubit_space
-    a0 = annihilation(space, "a0")
-    bus = np.exp(-1j * ph) * a0 + np.exp(1j * ph) * dagger(a0)
-    return (2.0 * config.j_coupling * config.alpha) * (sx_total(config) @ bus)

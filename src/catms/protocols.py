@@ -13,13 +13,7 @@ from scipy.special import eval_laguerre, gammaln
 
 from .dynamics import IntegratorSettings, _rk4_integrate, evolve_density, evolve_state
 from .gates import average_gate_fidelity
-from .hilbert import (
-    StateVector,
-    annihilation,
-    dagger,
-    make_space,
-    number_op,
-)
+from .hilbert import annihilation, dagger, make_space, number_op
 from .model import CollapseChannel, h_kerr_single
 from .states import CatParity, fidelity, single_mode_cat_vector
 
@@ -61,12 +55,12 @@ def cat_prep_hamiltonian(kerr: float, schedule: CatPrepSchedule,
     −Ka†²a², then a² + a†² with Ωp(t) = K α_t² (so the instantaneous cat
     amplitude is α_t), then a†a with Δq(t).
     """
-    space = make_space([dim], ["a"])
-    a2 = annihilation(space, "a") @ annihilation(space, "a")
+    space = make_space([dim])
+    a2 = annihilation(space, 0) @ annihilation(space, 0)
     return [
         (h_kerr_single(kerr, 0.0, dim), None),
         (a2 + dagger(a2), lambda t: kerr * schedule.alpha_t(t) ** 2),
-        (number_op(space, "a"), lambda t: schedule.delta_q(t, kerr)),
+        (number_op(space, 0), lambda t: schedule.delta_q(t, kerr)),
     ]
 
 
@@ -96,7 +90,7 @@ def ramp_margin(kerr: float, schedule: CatPrepSchedule, n_samples: int = 101) ->
 class CatPrepResult:
     target_parity: CatParity
     fidelity: float
-    final_state: object  # StateVector or DensityMatrix
+    final_state: np.ndarray  # state vector, or density matrix of a lossy ramp
     margin: float
 
 
@@ -109,23 +103,22 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
     if initial_fock not in (0, 1):
         raise ValueError("initial state must be Fock |0> or |1>")
     schedule = CatPrepSchedule(t0, alpha)
-    space = make_space([dim], ["a"])
-    v = np.zeros(dim, dtype=complex)
-    v[initial_fock] = 1.0
-    psi0 = StateVector(space, v)
+    space = make_space([dim])
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[initial_fock] = 1.0
     h = cat_prep_hamiltonian(kerr, schedule, dim)
     settings = IntegratorSettings(rtol=1e-9, atol=1e-11)
 
     parity = CatParity.EVEN if initial_fock == 0 else CatParity.ODD
-    target = StateVector(space, single_mode_cat_vector(dim, alpha, parity))
+    target = single_mode_cat_vector(dim, alpha, parity)
 
     if kappa > 0 or gamma > 0:
         channels = []
         if kappa > 0:
-            channels.append(CollapseChannel(kappa, annihilation(space, "a")))
+            channels.append(CollapseChannel(kappa, annihilation(space, 0)))
         if gamma > 0:
-            channels.append(CollapseChannel(gamma, number_op(space, "a")))
-        final = evolve_density(h, channels, psi0.outer(), (-t0, 0.0), settings)
+            channels.append(CollapseChannel(gamma, number_op(space, 0)))
+        final = evolve_density(h, channels, np.outer(psi0, psi0.conj()), (-t0, 0.0), settings)
     else:
         final = evolve_state(h, psi0, (-t0, 0.0), settings)
     return CatPrepResult(parity, fidelity(final, target), final,
@@ -276,10 +269,10 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     fixed-step RK4 with the step derated to the carrier frequency ω_c.
     """
     alpha = float(np.sqrt(omega_p / kerr))
-    space = make_space([dim], ["a"])
-    a = annihilation(space, "a")
+    space = make_space([dim])
+    a = annihilation(space, 0)
     h0 = h_kerr_single(kerr, omega_p, dim)
-    h0 = h0 + params.delta_q * number_op(space, "a")
+    h0 = h0 + params.delta_q * number_op(space, 0)
     h0 = h0 + params.xi_p * a + np.conj(params.xi_p) * dagger(a)
 
     # columns ordered (|C->, |C+>) to match the closed-form matrix convention

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, StateVector, displacement, make_space
+from .hilbert import displacement, make_space
 
 
 class CatParity(enum.Enum):
@@ -45,11 +45,11 @@ def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndar
     """Amplitudes of the cat N±[D(α) ± D(−α)]|0⟩ on an isolated dim-level mode."""
     if alpha <= 0:
         raise ValueError("cat amplitude must be positive")
-    sp1 = make_space([dim], ["a"])
+    sp1 = make_space([dim])
     seed = np.zeros(dim, dtype=complex)
     seed[0] = 1.0
-    dp = displacement(sp1, "a", alpha).matrix @ seed
-    dm = displacement(sp1, "a", -alpha).matrix @ seed
+    dp = displacement(sp1, 0, alpha).matrix @ seed
+    dm = displacement(sp1, 0, -alpha).matrix @ seed
     v = dp + parity.sign * dm
     # enforce exact Fock-support parity (cancellation leaves ~1e-17 residue)
     if parity is CatParity.EVEN:
@@ -59,37 +59,22 @@ def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndar
     return v / np.linalg.norm(v)
 
 
-def basis_state(config, qbs: QubitBasisState) -> StateVector:
-    """Computational basis state |0>_bus ⊗ |C_p1> ⊗ ... on config.space.
+def basis_state(config, qbs: QubitBasisState) -> np.ndarray:
+    """|0⟩_bus ⊗ |C_p1⟩ ⊗ … in the Fock basis of GateModel.fock(config).
 
-    config provides .space (bus first) and .alpha; see model.GateConfig.
+    config provides bus_dim, kpo_dim, n_qubits and alpha; see model.GateConfig.
     """
-    space = config.space
-    if len(qbs.parities) != space.n_modes - 1:
+    if len(qbs.parities) != config.n_qubits:
         raise ValueError("parity count does not match qubit count")
-    bus = np.zeros(space.mode_dims[0], dtype=complex)
-    bus[0] = 1.0
-    full = bus
-    for k, p in enumerate(qbs.parities):
-        v = single_mode_cat_vector(space.mode_dims[k + 1], config.alpha, p)
-        full = np.kron(full, v)
-    return StateVector(space, full)
+    full = np.zeros(config.bus_dim, dtype=complex)
+    full[0] = 1.0
+    for p in qbs.parities:
+        full = np.kron(full, single_mode_cat_vector(config.kpo_dim, config.alpha, p))
+    return full
 
 
-def overlap(psi: StateVector, phi: StateVector) -> complex:
-    """⟨psi|phi⟩."""
-    if psi.space != phi.space:
-        raise ValueError("state spaces do not match")
-    return psi.dagger_dot(phi)
-
-
-def fidelity(state, target: StateVector) -> float:
-    """|⟨ψ|φ⟩|² for pure states, ⟨φ|ρ|φ⟩ for a density matrix against a pure target."""
-    if state.space != target.space:
-        raise ValueError("state spaces do not match")
-    if isinstance(state, StateVector):
-        return float(abs(overlap(state, target)) ** 2)
-    if isinstance(state, DensityMatrix):
-        v = target.amplitudes
-        return float(np.real(np.vdot(v, state.entries @ v)))
-    raise TypeError("state must be a StateVector or DensityMatrix")
+def fidelity(state: np.ndarray, target: np.ndarray) -> float:
+    """|⟨φ|ψ⟩|² for a state vector ψ, ⟨φ|ρ|φ⟩ for a density matrix ρ; φ is the pure target."""
+    if state.ndim == 1:
+        return float(abs(np.vdot(state, target)) ** 2)
+    return float(np.real(np.vdot(target, state @ target)))

@@ -209,6 +209,39 @@ def test_grid_values_follow_the_two_pi_flag_of_their_base(tmp_path):
     assert cfg.j_coupling == base.j_coupling  # the flagged base j_coupling, not gridded
 
 
+def test_grid_sets_the_integer_config_keys(tmp_path):
+    # a gridded bus_dim, kpo_dim, kpo_levels or m_loops sets the point's config,
+    # as every other GateConfig key does
+    p = _write(tmp_path, _base_doc(grid={"bus_dim": [4, 12]}))
+    assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_OK
+    with open(tmp_path / "out" / "out.csv", newline="") as fh:
+        rows = {r["bus_dim"]: r for r in csv.DictReader(fh)}
+    assert float(rows["12"]["f_avg"]) - float(rows["4"]["f_avg"]) > 1e-2
+    assert float(rows["4"]["bus_top"]) > 1e-3 > 1e-8 > float(rows["12"]["bus_top"])
+    grid = {"kpo_dim": [10], "kpo_levels": [3], "m_loops": [2]}
+    spec = cli.load_spec(_write(tmp_path, _base_doc(grid=grid)))
+    (point,) = spec.grid_points()
+    cfg = cli.build_gate_config(spec, point)
+    assert (cfg.kpo_dim, cfg.kpo_levels, cfg.m_loops) == (10, 3, 2)
+
+
+def test_grid_keys_the_kind_does_not_read_are_config_errors(tmp_path, capsys):
+    single = {"version": 1, "kind": "single_qubit", "output": "out.csv",
+              "config": {"kerr": 1.0, "alpha": 2.0, "dim": 12},
+              "grid": {"alpha": [1.5, 2.5]}}
+    # a misspelt key; alpha, which single_qubit reads from its config only; and
+    # omega_p, which a config that sets alpha never reads
+    for doc in (_base_doc(grid={"kapa": [0.1]}), single, _base_doc(grid={"omega_p": [9.0]})):
+        p = _write(tmp_path, doc)
+        with pytest.raises(cli.ConfigError, match="not read"):
+            cli.load_spec(p)
+        assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+    # seed fills the seed column of every kind
+    single["grid"] = {"seed": [5], "t_gate": [0.5]}
+    assert sorted(cli.load_spec(_write(tmp_path, single)).grid) == ["seed", "t_gate"]
+
+
 def test_noise_systematic_matches_its_equivalents(tmp_path):
     # a -5 % gate-time error runs the constant loop to 0.95·t_g, as the fixed
     # switch_demo scheme does; a -5 % J error is the plain gate at J·0.95

@@ -12,31 +12,23 @@ from catms.dynamics import (
     expm_apply,
     propagate_piecewise,
 )
-from catms.hilbert import (
-    DensityMatrix,
-    SparseOperator,
-    StateVector,
-    annihilation,
-    make_space,
-    number_op,
-)
+from catms.hilbert import SparseOperator, annihilation, make_space, number_op
 from catms.model import CollapseChannel
 
 
 def _two_level_rabi():
-    space = make_space([2])
-    h = SparseOperator(space, sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
-    v = np.array([1.0, 0.0], dtype=complex)
-    return space, h, StateVector(space, v)
+    h = SparseOperator(make_space([2]),
+                       sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+    return h, np.array([1.0, 0.0], dtype=complex)
 
 
 def test_rk4_fourth_order_convergence():
-    space, h, psi0 = _two_level_rabi()
+    h, psi0 = _two_level_rabi()
     t = 1.3
-    exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0.amplitudes
+    exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        y = _rk4_integrate(lambda _, y: -1j * (h.matrix @ y), psi0.amplitudes, 0.0, t, dt)
+        y = _rk4_integrate(lambda _, y: -1j * (h.matrix @ y), psi0, 0.0, t, dt)
         errs.append(np.linalg.norm(y - exact))
     # halving dt should shrink the error by ~2^4
     assert errs[0] / errs[1] > 12
@@ -44,12 +36,12 @@ def test_rk4_fourth_order_convergence():
 
 
 def test_adaptive_matches_closed_form():
-    space, h, psi0 = _two_level_rabi()
+    h, psi0 = _two_level_rabi()
     t = 2.0
-    exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0.amplitudes
+    exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0
     psi = evolve_state(h, psi0, (0.0, t), IntegratorSettings(rtol=1e-10, atol=1e-12))
-    assert np.abs(psi.amplitudes - exact).max() < 1e-8
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-8
+    assert np.abs(psi - exact).max() < 1e-8
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
 
 
 T = 1.5
@@ -62,10 +54,9 @@ def _phase_problem():
     space = make_space([2])
     sz = SparseOperator(space, sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex)))
     h = [(sz, None), (sz, lambda t: t)]
-    psi0 = StateVector(space, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     phase = T + T**2 / 2.0
-    expected = StateVector(space, np.array([np.exp(-1j * phase), np.exp(1j * phase)])
-                           / np.sqrt(2.0))
+    expected = np.array([np.exp(-1j * phase), np.exp(1j * phase)]) / np.sqrt(2.0)
     return h, psi0, expected, IntegratorSettings(rtol=1e-10, atol=1e-12)
 
 
@@ -73,13 +64,13 @@ def _phase_problem():
 def test_time_dependent_hamiltonian_phase():
     h, psi0, expected, settings = _phase_problem()
     psi = evolve_state(h, psi0, (0.0, T), settings)
-    assert np.abs(psi.amplitudes - expected.amplitudes).max() < 1e-7
+    assert np.abs(psi - expected).max() < 1e-7
 
 
 def test_time_dependent_hamiltonian_phase_density():
     h, psi0, expected, settings = _phase_problem()
-    rho = evolve_density(h, [], psi0.outer(), (0.0, T), settings)
-    assert np.abs(rho.entries - expected.outer().entries).max() < 1e-7
+    rho = evolve_density(h, [], np.outer(psi0, psi0.conj()), (0.0, T), settings)
+    assert np.abs(rho - np.outer(expected, expected.conj())).max() < 1e-7
 
 
 def test_lindblad_cavity_decay_rate():
@@ -87,29 +78,29 @@ def test_lindblad_cavity_decay_rate():
     space = make_space([dim])
     h = SparseOperator(space, sp.csr_matrix((dim, dim), dtype=complex))
     kappa = 0.7
-    chan = [CollapseChannel(kappa, annihilation(space, "a0"))]
+    chan = [CollapseChannel(kappa, annihilation(space, 0))]
     v = np.zeros(dim, dtype=complex)
     v[3] = 1.0
-    rho0 = StateVector(space, v).outer()
+    rho0 = np.outer(v, v.conj())
     t = 0.9
     rho = evolve_density(h, chan, rho0, (0.0, t))
-    n_final = np.real(np.trace(number_op(space, "a0").to_dense() @ rho.entries))
+    n_final = np.real(np.trace(number_op(space, 0).to_dense() @ rho))
     assert n_final == pytest.approx(3.0 * np.exp(-kappa * t), rel=1e-6)
-    assert rho.trace().real == pytest.approx(1.0, abs=1e-8)
-    assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-12
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(rho - rho.conj().T).max() < 1e-12
 
 
 def test_lindblad_dephasing_preserves_populations():
     dim = 4
     space = make_space([dim])
     h = SparseOperator(space, sp.csr_matrix((dim, dim), dtype=complex))
-    chan = [CollapseChannel(0.5, number_op(space, "a0"))]
+    chan = [CollapseChannel(0.5, number_op(space, 0))]
     v = np.ones(dim, dtype=complex) / 2.0
-    rho = evolve_density(h, chan, StateVector(space, v).outer(), (0.0, 1.0))
-    pops = np.real(np.diag(rho.entries))
+    rho = evolve_density(h, chan, np.outer(v, v.conj()), (0.0, 1.0))
+    pops = np.real(np.diag(rho))
     assert np.abs(pops - 0.25).max() < 1e-8
     # coherences decay as exp(-rate (m-n)^2 t / 2)
-    c01 = abs(rho.entries[0, 1])
+    c01 = abs(rho[0, 1])
     assert c01 == pytest.approx(0.25 * np.exp(-0.5 * 0.5), rel=1e-5)
 
 
@@ -170,24 +161,24 @@ def _zero_hamiltonian(dim):
 def test_evolve_density_rejects_a_non_positive_result():
     # H = 0 and no channels keep ρ0 = diag(1.5, −0.5): trace 1, eigenvalue −0.5
     h = _zero_hamiltonian(2)
-    rho0 = DensityMatrix(h.space, np.diag([1.5, -0.5]).astype(complex))
+    rho0 = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ToleranceBreach):
         evolve_density(h, [], rho0, (0.0, 1.0))
 
 
 def test_evolve_density_warns_on_trace_drift():
     h = _zero_hamiltonian(2)
-    rho0 = DensityMatrix(h.space, np.diag([1.0, 1.0]).astype(complex))
+    rho0 = np.diag([1.0, 1.0]).astype(complex)
     with pytest.warns(UserWarning, match="trace drifted"):
         rho = evolve_density(h, [], rho0, (0.0, 1.0))
-    assert rho.trace().real == pytest.approx(2.0)
+    assert np.trace(rho).real == pytest.approx(2.0)
 
 
 def test_evolve_state_warns_on_norm_drift():
     # H = −0.5i·I shrinks the norm as e^{−t/2}
     space = make_space([2])
     h = SparseOperator(space, sp.identity(2, dtype=complex, format="csr") * -0.5j)
-    psi0 = StateVector(space, np.array([1.0, 0.0], dtype=complex))
+    psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.warns(UserWarning, match="norm drifted"):
         psi = evolve_state(h, psi0, (0.0, 1.0))
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(np.exp(-0.5), rel=1e-6)
+    assert np.linalg.norm(psi) == pytest.approx(np.exp(-0.5), rel=1e-6)

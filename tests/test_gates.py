@@ -1,10 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from catms import gates, noise
 from catms.dynamics import propagate_piecewise
 from catms.model import GateConfig, Schedule
-from catms.hilbert import StateVector
 from catms.states import CatParity, QubitBasisState, all_basis_states, basis_state
 
 
@@ -42,9 +43,30 @@ def test_loop_trajectory_matches_closed_form():
         assert beta_n == pytest.approx(gates.beta(t, cfg), abs=1e-10)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_sx_blocks_decompose_sx(n_qubits):
+    # the P_s are orthogonal projectors of rank C(N, k) that resolve the
+    # identity, and Σ s·P_s is S_x = ½Σσx_n built from Kronecker products
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dim = 2**n_qubits
+    total = sum(np.kron(np.kron(np.eye(2**n), sx), np.eye(2 ** (n_qubits - n - 1)))
+                for n in range(n_qubits)) / 2.0
+    blocks = gates.sx_blocks(n_qubits)
+    assert [s for s, _ in blocks] == [n_qubits / 2.0 - k for k in range(n_qubits + 1)]
+    for k, (s, p) in enumerate(blocks):
+        assert np.abs(p @ p - p).max() < 1e-12
+        assert np.abs(p - p.T).max() == 0.0
+        assert np.trace(p) == pytest.approx(comb(n_qubits, k), abs=1e-12)
+        for _, q in blocks[k + 1:]:
+            assert np.abs(p @ q).max() < 1e-12
+    assert np.abs(sum(p for _, p in blocks) - np.eye(dim)).max() < 1e-12
+    assert np.abs(sum(s * p for s, p in blocks) - total).max() < 1e-12
+
+
 def test_ms_unitary_is_unitary():
     cfg = _cfg(bus_dim=6)
-    u = gates.ms_closed_form(0.37 * gates.gate_time(cfg), cfg).to_dense()
+    t = 0.37 * gates.gate_time(cfg)
+    u = gates.ms_unitary(cfg, gates.chi(t, cfg), gates.beta(t, cfg))
     assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-10
 
 
@@ -118,8 +140,7 @@ def test_output_fidelity_of_ideal_output():
     cfg = _cfg(bus_dim=4, kpo_dim=16)
     inp = QubitBasisState((CatParity.EVEN, CatParity.EVEN))
     col = gates.ms_target_matrix(2)[:, inp.index]
-    out = StateVector(cfg.space, sum(c * basis_state(cfg, b).amplitudes
-                                     for c, b in zip(col, all_basis_states(2))))
+    out = sum(c * basis_state(cfg, b) for c, b in zip(col, all_basis_states(2)))
     model = gates.GateModel.fock(cfg)
     assert gates.output_fidelity(out, model, inp) == pytest.approx(1.0, abs=1e-10)
 
@@ -134,8 +155,8 @@ def test_parity_conservation_in_coherent_run():
     # so the joint photon-number parity of the final state is unchanged
     cfg = _cfg(n_qubits=1, bus_dim=8, kpo_dim=14)
     res = gates.run_gate(cfg, mode="full", input_state=QubitBasisState((CatParity.EVEN,)))
-    amps = res.final_state.amplitudes
-    parity = (-1) ** np.indices(cfg.space.mode_dims).sum(axis=0).ravel()
+    amps = res.final_state
+    parity = (-1) ** np.indices(gates.model_dims(cfg, "full")).sum(axis=0).ravel()
     odd_weight = float(np.sum(np.abs(amps[parity < 0]) ** 2))
     assert odd_weight < 1e-10
 
@@ -191,4 +212,4 @@ def test_sx_blocks_match_piecewise_propagation(n_qubits, monkeypatch):
         assert np.abs(block.propagator - ref.propagator).max() < 1e-12
         assert block.f_avg == pytest.approx(ref.f_avg, abs=1e-12)
         assert block.bus_top == pytest.approx(ref.bus_top, abs=1e-12)
-        assert np.abs(block.final_state.amplitudes - ref.final_state.amplitudes).max() < 1e-12
+        assert np.abs(block.final_state - ref.final_state).max() < 1e-12

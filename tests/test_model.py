@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from catms.gates import GateModel, no_leakage
-from catms.hilbert import DensityMatrix, StateVector, make_space
-from catms.model import (
-    GateConfig,
-    Schedule,
-    h_eff_spin_boson,
-    h_kerr_single,
-    kerr_level_isometry,
-    pauli,
-    sx_total,
-)
+from catms.model import GateConfig, Schedule, h_kerr_single, kerr_level_isometry
 from catms.states import CatParity, all_basis_states, single_mode_cat_vector
 
 
@@ -84,22 +75,6 @@ def test_hamiltonians_hermitian():
         # a segment generator Δ·n0 + h_rest + J·c, at arbitrary Δ and J
         h = (1.7 * m.n0 + m.h_rest + 0.9 * m.c).toarray()
         assert np.abs(h - h.conj().T).max() < 1e-10
-    h = h_eff_spin_boson(cfg, 0.123).to_dense()
-    assert np.abs(h - h.conj().T).max() < 1e-10
-
-
-def test_sx_total_spectrum():
-    cfg = _cfg(bus_dim=2, kpo_dim=8)
-    w = np.linalg.eigvalsh(sx_total(cfg).to_dense())
-    assert sorted(set(np.round(w, 9))) == [-1.0, 0.0, 1.0]
-
-
-def test_pauli_algebra():
-    space = make_space([2, 2, 2], ["a0", "q1", "q2"])
-    x = pauli(space, 1, "x").to_dense()
-    y = pauli(space, 1, "y").to_dense()
-    z = pauli(space, 1, "z").to_dense()
-    assert np.abs(x @ y - 1j * z).max() < 1e-12
 
 
 def test_collapse_channel_counts():
@@ -129,19 +104,19 @@ def test_projector_cat_idempotent():
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     psi /= np.linalg.norm(psi)
     inside = proj @ psi
-    assert no_leakage(StateVector(space, psi), model) == pytest.approx(
+    assert no_leakage(psi, model) == pytest.approx(
         np.vdot(inside, inside).real, abs=1e-12)
     # idempotent: the projected state lies wholly in the cat span
     inside /= np.linalg.norm(inside)
-    assert no_leakage(StateVector(space, inside), model) == pytest.approx(1.0, abs=1e-12)
+    assert no_leakage(inside, model) == pytest.approx(1.0, abs=1e-12)
     # 0 on a state orthogonal to the span, cos²θ on a mixture with a cat product
     outside = psi - proj @ psi
     outside /= np.linalg.norm(outside)
-    assert no_leakage(StateVector(space, outside), model) < 1e-12
+    assert no_leakage(outside, model) < 1e-12
     cat = model.basis_vector(all_basis_states(2)[1])
     c2 = np.cos(0.3) ** 2
     rho = c2 * np.outer(cat, cat.conj()) + (1 - c2) * np.outer(outside, outside.conj())
-    assert no_leakage(DensityMatrix(space, rho), model) == pytest.approx(c2, abs=1e-12)
+    assert no_leakage(rho, model) == pytest.approx(c2, abs=1e-12)
 
 
 def test_schedule_phase_and_segments():

@@ -40,7 +40,7 @@ def test_cat_prep_hamiltonian_terms_sum_to_ramp():
     kerr, dim = 1.3, 20
     s = protocols.CatPrepSchedule(t0=1.7, alpha=2.0)
     terms = protocols.cat_prep_hamiltonian(kerr, s, dim)
-    n = number_op(make_space([dim], ["a"]), "a")
+    n = number_op(make_space([dim]), 0)
     for t in np.linspace(-1.7, 0.0, 7):
         total = sum(op.to_dense() * (1.0 if f is None else f(t)) for op, f in terms)
         ref = (h_kerr_single(kerr, kerr * s.alpha_t(t) ** 2, dim)

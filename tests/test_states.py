@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from catms.hilbert import StateVector, displacement, make_space, number_op
+from catms.gates import GateModel
+from catms.hilbert import displacement, make_space, number_op
 from catms.model import GateConfig
 from catms.states import (
     CatParity,
@@ -9,7 +10,6 @@ from catms.states import (
     all_basis_states,
     basis_state,
     fidelity,
-    overlap,
     single_mode_cat_vector,
 )
 
@@ -17,13 +17,13 @@ from catms.states import (
 def _displaced_vacuum(dim, alpha):
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
-    return displacement(make_space([dim]), "a0", alpha).matrix @ vac
+    return displacement(make_space([dim]), 0, alpha).matrix @ vac
 
 
 def test_coherent_photon_number():
     space = make_space([30])
     v = _displaced_vacuum(30, 2.0)
-    assert np.vdot(v, number_op(space, "a0").matrix @ v).real == pytest.approx(4.0, abs=1e-8)
+    assert np.vdot(v, number_op(space, 0).matrix @ v).real == pytest.approx(4.0, abs=1e-8)
 
 
 def test_cat_states_normalized_and_orthogonal():
@@ -73,19 +73,30 @@ def test_basis_state_is_normalized_product():
     cfg = GateConfig.from_alpha(n_qubits=2, kerr=1.0, alpha=2.0, j_coupling=0.1,
                                 bus_dim=4, kpo_dim=20)
     psi = basis_state(cfg, QubitBasisState((CatParity.EVEN, CatParity.ODD)))
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     # orthogonal to a different parity pattern
     phi = basis_state(cfg, QubitBasisState((CatParity.ODD, CatParity.EVEN)))
-    assert abs(overlap(psi, phi)) < 1e-12
+    assert abs(np.vdot(psi, phi)) < 1e-12
+
+
+def test_basis_state_is_the_fock_model_basis_vector():
+    cfg = GateConfig.from_alpha(n_qubits=3, kerr=1.0, alpha=1.5, j_coupling=0.1,
+                                bus_dim=3, kpo_dim=10)
+    model = GateModel.fock(cfg)
+    for qbs in all_basis_states(3):
+        assert np.array_equal(basis_state(cfg, qbs), model.basis_vector(qbs))
 
 
 def test_fidelity_pure_and_mixed():
-    space = make_space([4])
-    a, b = StateVector(space, np.eye(4)[1]), StateVector(space, np.eye(4)[2])
+    a, b = np.eye(4)[1], np.eye(4)[2]
     assert fidelity(a, a) == pytest.approx(1.0)
     assert fidelity(a, b) == 0.0
-    rho = a.outer()
-    assert fidelity(rho, a) == pytest.approx(1.0)
+    assert fidelity(np.outer(a, a), a) == pytest.approx(1.0)
+    # a mixture of |1⟩ and |2⟩ against |1⟩, and a pure state with a complex overlap
+    assert fidelity(0.3 * np.outer(a, a) + 0.7 * np.outer(b, b), a) == pytest.approx(0.3)
+    psi = np.array([0.0, 0.6j, 0.8, 0.0])
+    assert fidelity(psi, a) == pytest.approx(0.36)
+    assert fidelity(np.outer(psi, psi.conj()), b) == pytest.approx(0.64)
 
 
 def test_cat_state_rejects_nonpositive_alpha():
