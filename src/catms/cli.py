@@ -374,19 +374,13 @@ def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
     return rec
 
 
-def _record_sort_key(spec: ExperimentSpec, rec: dict):
-    return tuple(str(rec.get(k, "")) for k in spec.grid_keys)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
+    """One record per grid point, in the order of spec.grid_points()."""
     points = list(spec.grid_points())
     if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(compute_record, [spec] * len(points), points))
-    else:
-        records = [compute_record(spec, p) for p in points]
-    records.sort(key=lambda r: _record_sort_key(spec, r))
-    return records
+            return list(pool.map(compute_record, [spec] * len(points), points))
+    return [compute_record(spec, p) for p in points]
 
 
 def write_outputs(spec: ExperimentSpec, records: list[dict], out_dir: str | Path,

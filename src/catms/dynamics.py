@@ -7,12 +7,12 @@ span.
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
 
-For piecewise-constant generators there is also an exact propagator: SciPy's
-expm_multiply applies each segment's exponential to a vector or to a block of
-columns. The gate runner propagates the computational basis of a coherent
-full-mode gate with it. A coherent effective-mode gate does not use it: its
-generator commutes with S_x, so gates.sx_block_columns propagates it as N+1
-small bus blocks.
+For piecewise-constant Hermitian generators there is also an exact
+propagator: expm_apply applies each segment's exponential to a vector or to a
+block of columns by its Chebyshev expansion. The gate runner propagates the
+computational basis of a coherent full-mode gate with it. A coherent
+effective-mode gate does not use it: its generator commutes with S_x, so
+gates.sx_block_columns propagates it as N+1 small bus blocks.
 """
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from .hilbert import SparseOperator
 
@@ -182,20 +183,67 @@ def _rk4_integrate(rhs, y0, t0, t1, dt):
 # --- exact propagation for piecewise-constant generators ----------------------
 
 
-def expm_apply(matrix, block: np.ndarray, coeff: complex) -> np.ndarray:
-    """exp(coeff * A) @ block, by SciPy's expm_multiply (Al-Mohy & Higham 2011).
+_CHEBYSHEV_TAIL = 1e-16
+"""The expansion stops at the first order k > w·dt with |J_k(w·dt)| below this."""
 
-    block is a vector or a 2-D block of columns; A is a sparse or dense matrix.
+
+def _chebyshev_coefficients(z: float) -> np.ndarray:
+    """(2 − δ_k0)(−i)^k J_k(z) for k = 0, 1, … up to the stop order, excluded.
+
+    The stop order is the first k > z with |J_k(z)| < _CHEBYSHEV_TAIL, or 2 if
+    that is smaller. Past k ≈ z, J_k(z) falls off in an Airy tail of width
+    ~z^(1/3), and the stop order lies below z + 12·z^(1/3) + 40 (from z + 1 at
+    z = 0 to z + 10.3·z^(1/3) at z = 1e5), so the orders up to there suffice.
     """
-    return expm_multiply(coeff * matrix, block)
+    k = np.arange(int(z + 12 * np.cbrt(z)) + 40)
+    jk = jv(k, z)
+    stop = np.flatnonzero((k > z) & (np.abs(jk) < _CHEBYSHEV_TAIL))[0]
+    coef = 2 * np.array([1, -1j, -1, 1j])[k % 4] * jk  # (−i)^k exactly
+    coef[0] /= 2
+    return coef[:max(stop, 2)]
+
+
+def expm_apply(h, block: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) @ block for a Hermitian CSR matrix H, by its Chebyshev expansion.
+
+    block is a vector or a 2-D block of columns. H must be Hermitian: the
+    expansion assumes a real spectrum. Gershgorin's discs give an interval
+    [c − w, c + w] that contains it, and with H̃ = (H − c)/w, whose spectrum
+    lies in [−1, 1],
+
+        exp(-i H dt) = e^{-icdt} Σ_k (2 − δ_k0)(−i)^k J_k(w·dt) T_k(H̃)
+
+    (the Jacobi–Anger expansion; Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)). The T_k(H̃)·block come from the three-term recurrence T_{k+1} =
+    2H̃T_k − T_{k−1}, one sparse product each; about w·dt + 11(w·dt)^(1/3)
+    of them are needed (see _chebyshev_coefficients).
+    """
+    block = np.asarray(block, dtype=complex)
+    d = h.diagonal().real
+    r = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
+    lo, hi = (d - r).min(), (d + r).max()
+    c, w = (hi + lo) / 2, (hi - lo) / 2
+    phase = np.exp(-1j * c * dt)
+    if w == 0:  # H = c·I
+        return phase * block
+    coef = phase * _chebyshev_coefficients(w * dt)
+    two_h = (2 / w) * (h - c * sp.identity(h.shape[0], format="csr"))  # 2H̃
+    prev, cur = block, 0.5 * (two_h @ block)
+    out = coef[0] * prev + coef[1] * cur
+    for ck in coef[2:]:
+        nxt = two_h @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        out += ck * cur
+    return out
 
 
 def propagate_piecewise(segments, block: np.ndarray) -> np.ndarray:
-    """Apply Π_k exp(-i H_k dt_k) to block; segments are (H, dt) with H a sparse matrix.
+    """Apply Π_k exp(-i H_k dt_k) to block; segments are (H, dt) with H a Hermitian CSR matrix.
 
     block is a vector or a 2-D block of columns, propagated together.
     """
     y = np.asarray(block, dtype=complex)
     for h, dt in segments:
-        y = expm_apply(h, y, -1j * dt)
+        y = expm_apply(h, y, dt)
     return y

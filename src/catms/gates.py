@@ -393,8 +393,8 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     as one block of columns and report the average gate fidelity. In
     effective mode the generator commutes with S_x, so sx_block_columns
     propagates N+1 bus blocks; in full mode propagate_piecewise applies each
-    segment's exponential by expm_multiply. Dissipative runs evolve the
-    density matrix of `input_state` (default: all qubits in |C+>) and report
+    segment's exponential by its Chebyshev expansion. Dissipative runs evolve
+    the density matrix of `input_state` (default: all qubits in |C+>) and report
     F_out and, in full mode, the no-leakage probability P_C. They take the
     Lindblad path in both modes: the σy part of the effective model's flip
     channel does not commute with S_x, so it mixes the blocks.

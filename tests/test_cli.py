@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +228,15 @@ def test_grid_sets_the_integer_config_keys(tmp_path):
     assert (cfg.kpo_dim, cfg.kpo_levels, cfg.m_loops) == (10, 3, 2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_follow_the_grid_order(tmp_path, workers):
+    # numbers, not their text: 4, 8, 12 and not "12", "4", "8"
+    p = _write(tmp_path, _base_doc(grid={"bus_dim": [4, 8, 12]}))
+    assert cli.run(str(p), str(tmp_path / "out"), workers=workers) == cli.EXIT_OK
+    with open(tmp_path / "out" / "out.csv", newline="") as fh:
+        assert [r["bus_dim"] for r in csv.DictReader(fh)] == ["4", "8", "12"]
+
+
 def test_grid_keys_the_kind_does_not_read_are_config_errors(tmp_path, capsys):
     single = {"version": 1, "kind": "single_qubit", "output": "out.csv",
               "config": {"kerr": 1.0, "alpha": 2.0, "dim": 12},
@@ -343,3 +355,16 @@ def test_non_gate_rows_leave_bus_top_empty(tmp_path):
     with open(tmp_path / "out" / "out.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["f_out"] != "" and row["bus_top"] == ""
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package must not import catms.cli itself, or runpy warns that it
+    # found the module already in sys.modules before running it as __main__
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "catms.cli",
+                           "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "--config" in proc.stdout

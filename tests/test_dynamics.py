@@ -104,32 +104,65 @@ def test_lindblad_dephasing_preserves_populations():
     assert c01 == pytest.approx(0.25 * np.exp(-0.5 * 0.5), rel=1e-5)
 
 
+def _random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
+
+
 def test_expm_apply_matches_scipy():
     rng = np.random.default_rng(2)
     dim = 40
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = m + m.conj().T
+    m = _random_hermitian(rng, dim)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     a = sp.csr_matrix(m)
     u_ref = scipy.linalg.expm(-1j * 0.37 * m)
-    out = expm_apply(a, v, -1j * 0.37)
+    out = expm_apply(a, v, 0.37)
     assert np.abs(out - u_ref @ v).max() < 1e-9
     # a block of columns gives the column-by-column results
     w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    block = expm_apply(a, np.stack([v, w], axis=1), -1j * 0.37)
+    block = expm_apply(a, np.stack([v, w], axis=1), 0.37)
     assert block.shape == (dim, 2)
     assert np.abs(block[:, 0] - out).max() < 1e-12
-    assert np.abs(block[:, 1] - expm_apply(a, w, -1j * 0.37)).max() < 1e-12
+    assert np.abs(block[:, 1] - expm_apply(a, w, 0.37)).max() < 1e-12
     assert np.abs(block - u_ref @ np.stack([v, w], axis=1)).max() < 1e-10
+
+
+def test_expm_apply_long_span_matches_eigh():
+    # a span of over 500 half-widths needs hundreds of Chebyshev terms
+    rng = np.random.default_rng(7)
+    dim = 60
+    m = _random_hermitian(rng, dim)
+    evals, vecs = np.linalg.eigh(m)
+    dt = 500.0 / ((evals[-1] - evals[0]) / 2) * 1.1
+    u_ref = (vecs * np.exp(-1j * dt * evals)) @ vecs.conj().T
+    u = expm_apply(sp.csr_matrix(m), np.eye(dim, dtype=complex), dt)
+    assert np.abs(u - u_ref).max() < 1e-10
+    assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-11
+
+
+def test_expm_apply_multiple_of_identity_is_a_phase():
+    rng = np.random.default_rng(8)
+    block = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    h = sp.identity(5, dtype=complex, format="csr") * 2.5
+    out = expm_apply(h, block, 0.7)
+    assert np.abs(out - np.exp(-1j * 2.5 * 0.7) * block).max() < 1e-15
+
+
+def test_expm_apply_empty_or_negligible_segment_keeps_block():
+    rng = np.random.default_rng(9)
+    dim = 6
+    block = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    tiny = sp.csr_matrix(1e-18 * _random_hermitian(rng, dim))
+    for h, dt in [(sp.csr_matrix((dim, dim), dtype=complex), 1.0), (tiny, 1.0),
+                  (sp.csr_matrix(_random_hermitian(rng, dim)), 0.0)]:
+        assert np.abs(expm_apply(h, block, dt) - block).max() < 1e-15
 
 
 def test_propagate_piecewise_unitary_and_composed():
     rng = np.random.default_rng(4)
     dim = 12
-    h1 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h1 = sp.csr_matrix(h1 + h1.conj().T)
-    h2 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h2 = sp.csr_matrix(h2 + h2.conj().T)
+    h1 = sp.csr_matrix(_random_hermitian(rng, dim))
+    h2 = sp.csr_matrix(_random_hermitian(rng, dim))
     segments = [(h1, 0.3), (h2, 0.5)]
     u_ref = scipy.linalg.expm(-1j * 0.5 * h2.toarray()) @ scipy.linalg.expm(
         -1j * 0.3 * h1.toarray())

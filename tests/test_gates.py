@@ -182,7 +182,7 @@ def test_coherent_block_keeps_basis_order():
 
 
 def _piecewise_columns(config, schedule):
-    """The effective model's basis columns, propagated segment by segment by expm_multiply."""
+    """The effective model's basis columns, propagated segment by segment on the whole space."""
     model = gates.GateModel.effective(config)
     b = np.stack([model.basis_vector(q) for q in all_basis_states(config.n_qubits)], axis=1)
     return propagate_piecewise(model.generators(schedule), b)
@@ -190,11 +190,9 @@ def _piecewise_columns(config, schedule):
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
 def test_sx_blocks_match_piecewise_propagation(n_qubits, monkeypatch):
-    # the S_x-block path against expm_multiply on the whole-space generators:
-    # both are exact in the truncated bus, so they agree to round-off. Most of
-    # the difference is expm_multiply's: on the two long switch segments it
-    # reads 1e-13 here and 1.5e-12 at bus_dim 10, where the blocks stay within
-    # 1e-15 of a dense scipy.linalg.expm
+    # the S_x-block path against the Chebyshev propagator on the whole-space
+    # generators: both are exact in the truncated bus, so they agree to
+    # round-off (4e-15 at most here)
     cfg = _cfg(n_qubits=n_qubits)
     spec = noise.StochasticNoiseSpec(eps_s=0.1, seed=3, n_events=50, targets=("J", "delta"))
     schedules = [
