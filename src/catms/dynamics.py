@@ -1,9 +1,10 @@
 """Time integration of Schrödinger and Lindblad dynamics.
 
 evolve_state and evolve_density integrate with SciPy's adaptive embedded
-Runge-Kutta (RK45). States are NumPy arrays: evolve_state takes and returns a
-state vector, evolve_density a dense density matrix, each at the end of the
-span.
+Runge-Kutta (RK45). A Hamiltonian is a CSR matrix or a term list
+[(H_k, f_k), …] of CSR matrices and scalar functions of t. States are NumPy
+arrays: evolve_state takes and returns a state vector, evolve_density a dense
+density matrix, each at the end of the span.
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
 
@@ -23,8 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.special import jv
-
-from .hilbert import SparseOperator
 
 
 class ToleranceBreach(RuntimeError):
@@ -54,12 +53,10 @@ class IntegratorSettings:
 def _terms(h) -> list:
     """(matrix, f) pairs of H(t) = Σ f_k(t)·H_k; f_k is None for a static term.
 
-    h is a term list [(H_k, f_k), …] of SparseOperators and scalar functions
-    of t, or a bare SparseOperator, which is one static term.
+    h is a term list [(H_k, f_k), …] of CSR matrices and scalar functions of
+    t, or a bare CSR matrix, which is one static term.
     """
-    if isinstance(h, SparseOperator):
-        h = [(h, None)]
-    return [(op.matrix, f) for op, f in h]
+    return [(h, None)] if sp.issparse(h) else list(h)
 
 
 def _term_sum(terms, t, apply):
@@ -80,7 +77,7 @@ def evolve_state(h, psi0: np.ndarray, t_span,
                  settings: IntegratorSettings | None = None) -> np.ndarray:
     """Integrate i dψ/dt = H(t) ψ from the vector psi0 and return ψ at the end of t_span.
 
-    h is a SparseOperator or a term list (see _terms). A norm drift above
+    h is a CSR matrix or a term list (see _terms). A norm drift above
     1e-6 is warned about.
     """
     settings = settings or IntegratorSettings()
@@ -103,10 +100,10 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
     """Integrate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
 
     rho0 is a dense square matrix; returns ρ at the end of t_span, made
-    Hermitian. h is a SparseOperator or a term list (see _terms), and each
-    collapse channel contributes ch.rate·D[ch.op]. A trace drift above 1e-6
-    is warned about; a result with an eigenvalue below −1e-6 raises
-    ToleranceBreach (checked by default up to dimension 256).
+    Hermitian. h is a CSR matrix or a term list (see _terms), and each
+    collapse channel contributes ch.rate·D[o] with o = ch.op.matrix. A trace
+    drift above 1e-6 is warned about; a result with an eigenvalue below −1e-6
+    raises ToleranceBreach (checked by default up to dimension 256).
     """
     settings = settings or IntegratorSettings()
     terms = _terms(h)
@@ -115,7 +112,8 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
     ops = []
     for ch in collapse_channels:
         o = ch.op.matrix
-        ops.append((ch.rate, o, o.getH().tocsr(), (o.getH() @ o).tocsr()))
+        od = o.conj().T
+        ops.append((ch.rate, o, od.tocsr(), (od @ o).tocsr()))
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import IntegratorSettings, evolve_density, propagate_piecewise
-from .hilbert import SparseOperator, annihilation, dagger, make_space, number_op, tensor_embed
+from .hilbert import SparseOperator, annihilation, number_op, tensor_embed
 from .model import CollapseChannel, GateConfig, Schedule, h_kerr_single, kerr_level_isometry
 from .states import (
     CatParity,
@@ -97,8 +98,7 @@ def ms_unitary(config: GateConfig, chi_val: complex, beta_val: float) -> np.ndar
     is the phase e^{−iβs²}. Returns a dense matrix: every block is dense, so a
     sparse format only slows the products built from it.
     """
-    bus_dim = config.bus_dim
-    a = np.diag(np.sqrt(np.arange(1, bus_dim)), 1).astype(complex)
+    a = annihilation((config.bus_dim,), 0).toarray()
     gen = chi_val * a.conj().T + np.conj(chi_val) * a
     g, q = np.linalg.eigh(gen)
     return sum(np.kron((q * np.exp(-1j * s * g)) @ q.conj().T,
@@ -117,7 +117,7 @@ def sx_block_columns(config: GateConfig, schedule: Schedule) -> np.ndarray:
     Σ_s (U_s|0⟩) ⊗ P_s. The result is exact in the truncated bus.
     """
     dim = config.bus_dim
-    x = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    x = annihilation((dim,), 0).toarray().real
     n = np.diag(np.arange(float(dim)))
     blocks = sx_blocks(config.n_qubits)
     coupling = (2.0 * config.alpha) * np.array([s for s, _ in blocks])[:, None, None] * (x + x.T)
@@ -143,9 +143,9 @@ def average_gate_fidelity(m: np.ndarray) -> float:
 
 def output_fidelity(state: np.ndarray, model: GateModel, input_state: QubitBasisState) -> float:
     """F_out = ⟨ψ_out|ρ|ψ_out⟩ against the ideal output U_MS(t_g)|input⟩ (β = −π/2)."""
-    n_qubits = model.space.n_modes - 1
+    n_qubits = len(model.dims) - 1
     col = ms_target_matrix(n_qubits)[:, input_state.index]
-    amps = np.zeros(model.space.dim, dtype=complex)
+    amps = np.zeros(prod(model.dims), dtype=complex)
     for k, b in enumerate(all_basis_states(n_qubits)):
         if abs(col[k]) > 0:
             amps += col[k] * model.basis_vector(b)
@@ -159,8 +159,8 @@ def no_leakage(state: np.ndarray, model: GateModel) -> float:
     rows of C are the ⟨C±| bras of one KPO in the model's KPO basis.
     """
     rows = sp.csr_matrix(np.stack([model.cats[p].conj() for p in CatParity]))
-    amap = sp.identity(model.space.mode_dims[0], dtype=complex, format="csr")
-    for _ in range(model.space.n_modes - 1):
+    amap = sp.identity(model.dims[0], dtype=complex, format="csr")
+    for _ in range(len(model.dims) - 1):
         amap = sp.kron(amap, rows, format="csr")
     if state.ndim == 2:
         proj = amap @ state @ amap.conj().T.tocsr()
@@ -284,7 +284,7 @@ def model_dims(config: GateConfig, mode: str) -> tuple[int, ...]:
 
 
 class GateModel:
-    """Segment generator Δ·n0 + h_rest + J·c on `space`, with Lindblad `channels`.
+    """Segment generator Δ·n0 + h_rest + J·c on the layout `dims`, with Lindblad `channels`.
 
     The bus keeps its Fock basis and its loss (κ0) and dephasing (γ0)
     channels. Every KPO is one single-mode description, embedded at each KPO
@@ -295,23 +295,18 @@ class GateModel:
     """
 
     def __init__(self, config: GateConfig, mode: str, h1, k1, kpo_channels, cats):
-        self.space = space = make_space(model_dims(config, mode))
+        self.dims = dims = model_dims(config, mode)
         self.cats = cats
         self.leaks = mode != "effective"
-        sp1 = make_space([space.mode_dims[1]])
-
-        def embed(m, n):
-            return tensor_embed(SparseOperator(sp1, m), space, n)
-
-        a0, n0 = annihilation(space, 0), number_op(space, 0)
+        a0, self.n0 = annihilation(dims, 0), number_op(dims, 0)
         kpos = range(1, config.n_qubits + 1)
-        self.n0 = n0.matrix
-        self.h_rest = sum(embed(h1, n).matrix for n in kpos).tocsr()
-        crosses = [embed(k1, n) @ dagger(a0) for n in kpos]
-        self.c = sum((x + dagger(x)).matrix for x in crosses).tocsr()
-        bus = [(config.kappa0, a0), (config.gamma0, n0)]
-        self.channels = [CollapseChannel(r, op) for r, op in bus if r > 0] + [
-            CollapseChannel(r, embed(op, n)) for n in kpos for r, op in kpo_channels if r > 0
+        self.h_rest = sum(tensor_embed(h1, dims, n) for n in kpos).tocsr()
+        crosses = [tensor_embed(k1, dims, n) @ a0.conj().T for n in kpos]
+        self.c = sum(x + x.conj().T for x in crosses).tocsr()
+        bus = [(config.kappa0, a0), (config.gamma0, self.n0)]
+        self.channels = [CollapseChannel(r, SparseOperator(op)) for r, op in bus if r > 0] + [
+            CollapseChannel(r, SparseOperator(tensor_embed(op, dims, n)))
+            for n in kpos for r, op in kpo_channels if r > 0
         ]
 
     @classmethod
@@ -334,9 +329,8 @@ class GateModel:
     @classmethod
     def fock(cls, config: GateConfig) -> GateModel:
         """Full model in the kpo_dim Fock levels of each KPO (kpo_levels unset)."""
-        sp1 = make_space([config.kpo_dim])
-        a, n = annihilation(sp1, 0).matrix, number_op(sp1, 0).matrix
-        h1 = h_kerr_single(config.kerr, config.omega_p, config.kpo_dim).matrix
+        a, n = annihilation((config.kpo_dim,), 0), number_op((config.kpo_dim,), 0)
+        h1 = h_kerr_single(config.kerr, config.omega_p, config.kpo_dim)
         cats = {p: single_mode_cat_vector(config.kpo_dim, config.alpha, p) for p in CatParity}
         return cls(config, "full", h1, a, [(config.kappa, a), (config.gamma, n)], cats)
 
@@ -354,7 +348,7 @@ class GateModel:
         if levels is None:
             raise ValueError("config.kpo_levels is not set")
         energies, v = kerr_level_isometry(config.kerr, config.omega_p, config.kpo_dim, levels)
-        a1 = np.diag(np.sqrt(np.arange(1, config.kpo_dim)), 1).astype(complex)
+        a1 = annihilation((config.kpo_dim,), 0).toarray()
         a_red = v.conj().T @ a1 @ v
         n_red = v.conj().T @ (a1.conj().T @ a1) @ v
         cats = {}
@@ -375,8 +369,8 @@ class GateModel:
                 for t0, t1, d, j, _ in schedule.segments()]
 
     def basis_vector(self, qbs: QubitBasisState) -> np.ndarray:
-        """|0⟩_bus ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on `space`."""
-        v = np.zeros(self.space.mode_dims[0], dtype=complex)
+        """|0⟩_bus ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on the layout `dims`."""
+        v = np.zeros(self.dims[0], dtype=complex)
         v[0] = 1.0
         for parity in qbs.parities:
             v = np.kron(v, self.cats[parity])
@@ -421,11 +415,10 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         model = GateModel.fock(config)
     else:
         model = GateModel.kerr_levels(config)
-    space = model.space
     unrotate = np.exp(1j * sched.phase(t_end) * model.n0.diagonal().real)
     n = config.n_qubits
     # the bus is the leading mode, so its top Fock level is the last `rest` rows
-    rest = space.dim // config.bus_dim
+    rest = prod(model.dims[1:])
 
     decohering = any(
         r > 0 for r in (config.kappa0, config.gamma0, config.kappa, config.gamma)
@@ -451,8 +444,8 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         rho = np.outer(v, v.conj())
         settings = IntegratorSettings(rtol=1e-7, atol=1e-9)
         for h, dt in model.generators(sched):
-            rho = evolve_density(SparseOperator(space, h), model.channels, rho, (0.0, dt),
-                                 settings, check_positivity=False)
+            rho = evolve_density(h, model.channels, rho, (0.0, dt), settings,
+                                 check_positivity=False)
         state = (unrotate[:, None] * rho) * unrotate.conj()[None, :]
         result.bus_top = float(np.trace(state[-rest:, -rest:]).real)
     result.f_out = output_fidelity(state, model, input_state)

@@ -11,8 +11,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
-from .hilbert import SparseOperator, annihilation, dagger, make_space
+from .hilbert import SparseOperator, annihilation
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class GateConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.m_loops < 1:
             raise ValueError("m_loops must be >= 1")
+        if self.bus_dim < 2 or self.kpo_dim < 2:
+            raise ValueError("bus_dim and kpo_dim must be >= 2")
         if self.kpo_levels is not None and not 2 <= self.kpo_levels <= self.kpo_dim:
             raise ValueError("kpo_levels must lie in [2, kpo_dim]")
 
@@ -157,7 +160,7 @@ class Schedule:
 
 @dataclass(frozen=True)
 class CollapseChannel:
-    """Lindblad channel: contributes rate * D[op] to the master equation."""
+    """Lindblad channel: contributes rate * D[op.matrix] to the master equation."""
 
     rate: float
     op: SparseOperator
@@ -166,11 +169,12 @@ class CollapseChannel:
 # --- Hamiltonian builders ----------------------------------------------------
 
 
-def h_kerr_single(kerr: float, omega_p: float, dim: int) -> SparseOperator:
+def h_kerr_single(kerr: float, omega_p: float, dim: int) -> sp.csr_matrix:
     """-K a†²a² + Ωp(a² + a†²) on an isolated mode."""
-    a = annihilation(make_space([dim]), 0)
+    a = annihilation((dim,), 0)
     a2 = a @ a
-    return (-kerr) * (dagger(a2) @ a2) + omega_p * (a2 + dagger(a2))
+    a2d = a2.conj().T.tocsr()
+    return (-kerr) * (a2d @ a2) + omega_p * (a2 + a2d)
 
 
 def kerr_level_isometry(kerr: float, omega_p: float, dim: int, n_levels: int):
@@ -182,7 +186,7 @@ def kerr_level_isometry(kerr: float, omega_p: float, dim: int, n_levels: int):
     """
     if not 2 <= n_levels <= dim:
         raise ValueError("n_levels must lie in [2, dim]")
-    hk = h_kerr_single(kerr, omega_p, dim).to_dense()
+    hk = h_kerr_single(kerr, omega_p, dim).toarray()
     w, v = np.linalg.eigh(hk)
     order = np.argsort(w)[::-1][:n_levels]
     return w[order].copy(), np.ascontiguousarray(v[:, order])

@@ -13,7 +13,7 @@ from scipy.special import eval_laguerre, gammaln
 
 from .dynamics import IntegratorSettings, _rk4_integrate, evolve_density, evolve_state
 from .gates import average_gate_fidelity
-from .hilbert import annihilation, dagger, make_space, number_op
+from .hilbert import SparseOperator, annihilation, number_op
 from .model import CollapseChannel, h_kerr_single
 from .states import CatParity, fidelity, single_mode_cat_vector
 
@@ -55,12 +55,12 @@ def cat_prep_hamiltonian(kerr: float, schedule: CatPrepSchedule,
     −Ka†²a², then a² + a†² with Ωp(t) = K α_t² (so the instantaneous cat
     amplitude is α_t), then a†a with Δq(t).
     """
-    space = make_space([dim])
-    a2 = annihilation(space, 0) @ annihilation(space, 0)
+    a = annihilation((dim,), 0)
+    a2 = a @ a
     return [
         (h_kerr_single(kerr, 0.0, dim), None),
-        (a2 + dagger(a2), lambda t: kerr * schedule.alpha_t(t) ** 2),
-        (number_op(space, 0), lambda t: schedule.delta_q(t, kerr)),
+        (a2 + a2.conj().T, lambda t: kerr * schedule.alpha_t(t) ** 2),
+        (number_op((dim,), 0), lambda t: schedule.delta_q(t, kerr)),
     ]
 
 
@@ -103,7 +103,6 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
     if initial_fock not in (0, 1):
         raise ValueError("initial state must be Fock |0> or |1>")
     schedule = CatPrepSchedule(t0, alpha)
-    space = make_space([dim])
     psi0 = np.zeros(dim, dtype=complex)
     psi0[initial_fock] = 1.0
     h = cat_prep_hamiltonian(kerr, schedule, dim)
@@ -115,9 +114,9 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
     if kappa > 0 or gamma > 0:
         channels = []
         if kappa > 0:
-            channels.append(CollapseChannel(kappa, annihilation(space, 0)))
+            channels.append(CollapseChannel(kappa, SparseOperator(annihilation((dim,), 0))))
         if gamma > 0:
-            channels.append(CollapseChannel(gamma, number_op(space, 0)))
+            channels.append(CollapseChannel(gamma, SparseOperator(number_op((dim,), 0))))
         final = evolve_density(h, channels, np.outer(psi0, psi0.conj()), (-t0, 0.0), settings)
     else:
         final = evolve_state(h, psi0, (-t0, 0.0), settings)
@@ -269,11 +268,11 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     fixed-step RK4 with the step derated to the carrier frequency ω_c.
     """
     alpha = float(np.sqrt(omega_p / kerr))
-    space = make_space([dim])
-    a = annihilation(space, 0)
+    a = annihilation((dim,), 0)
+    ad = a.conj().T.tocsr()
     h0 = h_kerr_single(kerr, omega_p, dim)
-    h0 = h0 + params.delta_q * number_op(space, 0)
-    h0 = h0 + params.xi_p * a + np.conj(params.xi_p) * dagger(a)
+    h0 = h0 + params.delta_q * number_op((dim,), 0)
+    h0 = h0 + params.xi_p * a + np.conj(params.xi_p) * ad
 
     # columns ordered (|C->, |C+>) to match the closed-form matrix convention
     basis = np.stack(
@@ -285,7 +284,7 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     )
 
     if not use_h_add or params.xi_j == 0.0:
-        u = scipy.linalg.expm(-1j * t_gate * h0.to_dense())
+        u = scipy.linalg.expm(-1j * t_gate * h0.toarray())
         cols = u @ basis
     else:
         if omega_c is None:
@@ -293,17 +292,16 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
         if omega_c <= 10.0 * abs(params.xi_j):
             raise ValueError("omega_c must dominate xi_j for the drive to average")
         phi_a = 2.0 * alpha
-        x = phi_a * (a + dagger(a)).to_dense()
+        x = phi_a * (a + ad).toarray()
         w, vecs = np.linalg.eigh(x)
         cos_x = (vecs * np.cos(w)) @ vecs.conj().T  # cos(phi_a (a + a†))
         n_diag = np.arange(dim)
-        h0m = h0.matrix
         xi_j = params.xi_j
 
         def rhs(t, y):
             rot = np.exp(1j * omega_c * t * n_diag)
             add = rot[:, None] * (cos_x @ (rot.conj()[:, None] * y))
-            return -1j * (h0m @ y + xi_j * add)
+            return -1j * (h0 @ y + xi_j * add)
 
         dt = 2.0 * np.pi / (omega_c * n_steps_per_cycle)
         cols = _rk4_integrate(rhs, basis, 0.0, t_gate, dt)

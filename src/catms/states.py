@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import displacement, make_space
+from .hilbert import displacement
 
 
 class CatParity(enum.Enum):
@@ -45,12 +45,8 @@ def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndar
     """Amplitudes of the cat N±[D(α) ± D(−α)]|0⟩ on an isolated dim-level mode."""
     if alpha <= 0:
         raise ValueError("cat amplitude must be positive")
-    sp1 = make_space([dim])
-    seed = np.zeros(dim, dtype=complex)
-    seed[0] = 1.0
-    dp = displacement(sp1, 0, alpha).matrix @ seed
-    dm = displacement(sp1, 0, -alpha).matrix @ seed
-    v = dp + parity.sign * dm
+    # D(±α)|0⟩ is column 0 of D(±α)
+    v = displacement(dim, alpha)[:, 0] + parity.sign * displacement(dim, -alpha)[:, 0]
     # enforce exact Fock-support parity (cancellation leaves ~1e-17 residue)
     if parity is CatParity.EVEN:
         v[1::2] = 0.0

@@ -7,6 +7,7 @@ parsed, not imported, and nothing here installs it.
 """
 import ast
 import inspect
+from math import prod
 from pathlib import Path
 
 import catms
@@ -51,13 +52,15 @@ def test_hook_parameters_present():
 
 
 def test_tracer_reads_present():
-    # _is_zero_channel reads ch.rate and ch.op.matrix of each collapse channel
-    cfg = GateConfig.from_alpha(1, 1.0, 1.0, 0.1, kappa=0.1, kappa0=0.1, bus_dim=3)
-    model = gates.GateModel.effective(cfg)
-    assert len(model.channels) == 2
-    for ch in model.channels:
-        assert ch.rate > 0.0
-        assert ch.op.matrix.tocsr().shape == (model.space.dim, model.space.dim)
+    # _is_zero_channel reads ch.rate and ch.op.matrix of each collapse channel,
+    # in every model that run_gate builds
+    cfg = GateConfig.from_alpha(1, 1.0, 1.0, 0.1, kappa=0.1, kappa0=0.1, bus_dim=3, kpo_dim=10)
+    for model in (gates.GateModel.effective(cfg), gates.GateModel.fock(cfg),
+                  gates.GateModel.kerr_levels(cfg.replace(kpo_levels=6))):
+        assert len(model.channels) == 2
+        for ch in model.channels:
+            assert ch.rate > 0.0
+            assert ch.op.matrix.tocsr().shape == (prod(model.dims), prod(model.dims))
     # _count_rk4 reads params.xi_j
     params = protocols.design_single_qubit_drive("hadamard", 2.0, 5.0, use_h_add=True)
     assert params.xi_j != 0.0

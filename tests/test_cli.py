@@ -73,9 +73,14 @@ def test_load_spec_rejects_bad_documents(tmp_path):
 
 
 def test_exit_code_on_config_error(tmp_path, capsys):
-    p = _write(tmp_path, _base_doc(version=9))
-    assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    # an unsupported version, and a mode truncated to one level in the base
+    # config or in the grid
+    for doc in (_base_doc(version=9),
+                _base_doc(config={**_base_doc()["config"], "bus_dim": 1}),
+                _base_doc(grid={"kpo_dim": [12, 1]})):
+        p = _write(tmp_path, doc)
+        assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
 
 def test_empty_grid_yields_header_only_csv(tmp_path):

@@ -12,23 +12,22 @@ from catms.dynamics import (
     expm_apply,
     propagate_piecewise,
 )
-from catms.hilbert import SparseOperator, annihilation, make_space, number_op
+from catms.hilbert import SparseOperator, annihilation, number_op
 from catms.model import CollapseChannel
 
 
 def _two_level_rabi():
-    h = SparseOperator(make_space([2]),
-                       sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+    h = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     return h, np.array([1.0, 0.0], dtype=complex)
 
 
 def test_rk4_fourth_order_convergence():
     h, psi0 = _two_level_rabi()
     t = 1.3
-    exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0
+    exact = scipy.linalg.expm(-1j * t * h.toarray()) @ psi0
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        y = _rk4_integrate(lambda _, y: -1j * (h.matrix @ y), psi0, 0.0, t, dt)
+        y = _rk4_integrate(lambda _, y: -1j * (h @ y), psi0, 0.0, t, dt)
         errs.append(np.linalg.norm(y - exact))
     # halving dt should shrink the error by ~2^4
     assert errs[0] / errs[1] > 12
@@ -38,7 +37,7 @@ def test_rk4_fourth_order_convergence():
 def test_adaptive_matches_closed_form():
     h, psi0 = _two_level_rabi()
     t = 2.0
-    exact = scipy.linalg.expm(-1j * t * h.to_dense()) @ psi0
+    exact = scipy.linalg.expm(-1j * t * h.toarray()) @ psi0
     psi = evolve_state(h, psi0, (0.0, t), IntegratorSettings(rtol=1e-10, atol=1e-12))
     assert np.abs(psi - exact).max() < 1e-8
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
@@ -51,8 +50,7 @@ def _phase_problem():
     # H(t) = (1 + t) sigma_z as a static term plus a term with coefficient t:
     # the phase accumulated by t is t + t^2/2 (T = 1.5: a dropped or misapplied
     # coefficient would give 2T or T^2 instead)
-    space = make_space([2])
-    sz = SparseOperator(space, sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex)))
+    sz = sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
     h = [(sz, None), (sz, lambda t: t)]
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     phase = T + T**2 / 2.0
@@ -75,16 +73,15 @@ def test_time_dependent_hamiltonian_phase_density():
 
 def test_lindblad_cavity_decay_rate():
     dim = 8
-    space = make_space([dim])
-    h = SparseOperator(space, sp.csr_matrix((dim, dim), dtype=complex))
+    h = sp.csr_matrix((dim, dim), dtype=complex)
     kappa = 0.7
-    chan = [CollapseChannel(kappa, annihilation(space, 0))]
+    chan = [CollapseChannel(kappa, SparseOperator(annihilation((dim,), 0)))]
     v = np.zeros(dim, dtype=complex)
     v[3] = 1.0
     rho0 = np.outer(v, v.conj())
     t = 0.9
     rho = evolve_density(h, chan, rho0, (0.0, t))
-    n_final = np.real(np.trace(number_op(space, 0).to_dense() @ rho))
+    n_final = np.real(np.trace(number_op((dim,), 0).toarray() @ rho))
     assert n_final == pytest.approx(3.0 * np.exp(-kappa * t), rel=1e-6)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -92,9 +89,8 @@ def test_lindblad_cavity_decay_rate():
 
 def test_lindblad_dephasing_preserves_populations():
     dim = 4
-    space = make_space([dim])
-    h = SparseOperator(space, sp.csr_matrix((dim, dim), dtype=complex))
-    chan = [CollapseChannel(0.5, number_op(space, 0))]
+    h = sp.csr_matrix((dim, dim), dtype=complex)
+    chan = [CollapseChannel(0.5, SparseOperator(number_op((dim,), 0)))]
     v = np.ones(dim, dtype=complex) / 2.0
     rho = evolve_density(h, chan, np.outer(v, v.conj()), (0.0, 1.0))
     pops = np.real(np.diag(rho))
@@ -188,7 +184,7 @@ def test_integrator_settings_validation():
 
 
 def _zero_hamiltonian(dim):
-    return SparseOperator(make_space([dim]), sp.csr_matrix((dim, dim), dtype=complex))
+    return sp.csr_matrix((dim, dim), dtype=complex)
 
 
 def test_evolve_density_rejects_a_non_positive_result():
@@ -209,8 +205,7 @@ def test_evolve_density_warns_on_trace_drift():
 
 def test_evolve_state_warns_on_norm_drift():
     # H = −0.5i·I shrinks the norm as e^{−t/2}
-    space = make_space([2])
-    h = SparseOperator(space, sp.identity(2, dtype=complex, format="csr") * -0.5j)
+    h = sp.identity(2, dtype=complex, format="csr") * -0.5j
     psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.warns(UserWarning, match="norm drifted"):
         psi = evolve_state(h, psi0, (0.0, 1.0))

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -29,11 +31,16 @@ def test_config_validation():
         _cfg(kpo_levels=1)
     with pytest.raises(ValueError):
         _cfg(kpo_levels=25)  # above kpo_dim
+    # every mode keeps at least two levels
+    with pytest.raises(ValueError):
+        _cfg(bus_dim=1)
+    with pytest.raises(ValueError):
+        _cfg(kpo_dim=1)
 
 
 def test_cat_states_top_the_kerr_spectrum():
     kerr, alpha, dim = 1.0, 2.0, 30
-    hk = h_kerr_single(kerr, kerr * alpha**2, dim).to_dense()
+    hk = h_kerr_single(kerr, kerr * alpha**2, dim).toarray()
     w, v = np.linalg.eigh(hk)
     # two degenerate top eigenstates at ~ +K alpha^4
     assert w[-1] == pytest.approx(kerr * alpha**4, rel=1e-3)
@@ -47,7 +54,7 @@ def test_cat_states_top_the_kerr_spectrum():
 def test_energy_gap_matches_spectrum():
     # the level energies that GateModel.kerr_levels puts on its diagonal
     kerr, alpha, dim = 1.0, 2.0, 30
-    w = np.linalg.eigvalsh(h_kerr_single(kerr, kerr * alpha**2, dim).to_dense())
+    w = np.linalg.eigvalsh(h_kerr_single(kerr, kerr * alpha**2, dim).toarray())
     energies, _ = kerr_level_isometry(kerr, kerr * alpha**2, dim, 4)
     assert np.abs(energies - w[::-1][:4]).max() < 1e-12
     # anharmonicity pulls the gap to the first excited manifold ~18% below
@@ -96,12 +103,12 @@ def test_projector_cat_idempotent():
     # no_leakage is the weight under the projector I_bus ⊗ P_cat ⊗ P_cat
     cfg = _cfg(bus_dim=3, kpo_dim=14)
     model = GateModel.fock(cfg)
-    space = model.space
+    dim = prod(model.dims)
     cats = np.stack([model.cats[p] for p in CatParity], axis=1)
     p1 = cats @ cats.conj().T
     proj = np.kron(np.eye(3), np.kron(p1, p1))
     rng = np.random.default_rng(7)
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     inside = proj @ psi
     assert no_leakage(psi, model) == pytest.approx(

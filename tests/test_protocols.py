@@ -3,7 +3,7 @@ import pytest
 from scipy.special import eval_laguerre
 
 from catms import protocols
-from catms.hilbert import make_space, number_op
+from catms.hilbert import number_op
 from catms.model import h_kerr_single
 from catms.states import CatParity, single_mode_cat_vector
 
@@ -40,11 +40,11 @@ def test_cat_prep_hamiltonian_terms_sum_to_ramp():
     kerr, dim = 1.3, 20
     s = protocols.CatPrepSchedule(t0=1.7, alpha=2.0)
     terms = protocols.cat_prep_hamiltonian(kerr, s, dim)
-    n = number_op(make_space([dim]), 0)
+    n = number_op((dim,), 0)
     for t in np.linspace(-1.7, 0.0, 7):
-        total = sum(op.to_dense() * (1.0 if f is None else f(t)) for op, f in terms)
+        total = sum(op.toarray() * (1.0 if f is None else f(t)) for op, f in terms)
         ref = (h_kerr_single(kerr, kerr * s.alpha_t(t) ** 2, dim)
-               + s.delta_q(t, kerr) * n).to_dense()
+               + s.delta_q(t, kerr) * n).toarray()
         assert np.abs(total - ref).max() < 1e-12
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from catms.gates import GateModel
-from catms.hilbert import displacement, make_space, number_op
+from catms.hilbert import displacement, number_op
 from catms.model import GateConfig
 from catms.states import (
     CatParity,
@@ -17,13 +17,12 @@ from catms.states import (
 def _displaced_vacuum(dim, alpha):
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
-    return displacement(make_space([dim]), 0, alpha).matrix @ vac
+    return displacement(dim, alpha) @ vac
 
 
 def test_coherent_photon_number():
-    space = make_space([30])
     v = _displaced_vacuum(30, 2.0)
-    assert np.vdot(v, number_op(space, 0).matrix @ v).real == pytest.approx(4.0, abs=1e-8)
+    assert np.vdot(v, number_op((30,), 0) @ v).real == pytest.approx(4.0, abs=1e-8)
 
 
 def test_cat_states_normalized_and_orthogonal():
