@@ -2,9 +2,10 @@
 
 A layout is a tuple `dims` of mode truncations. Modes are addressed by
 index. Mode 0 is the bus cavity by convention and is the slowest-varying
-tensor index (row-major layout). Every operator is a complex CSR matrix of
-size prod(dims). States are plain NumPy arrays: a vector for a pure state, a
-square matrix for a density matrix.
+tensor index (row-major layout). annihilation, number_op and tensor_embed
+return complex CSR matrices of size prod(dims), and displacement the dense
+D(α) of one mode. States are plain NumPy arrays: a vector for a pure state,
+a square matrix for a density matrix.
 """
 from __future__ import annotations
 

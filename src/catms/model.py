@@ -183,10 +183,19 @@ def kerr_level_isometry(kerr: float, omega_p: float, dim: int, n_levels: int):
     The cat manifold sits at the top of the Kerr spectrum, so the columns
     start with the two cat states and continue down the excited manifolds.
     The isometry maps the reduced level basis back into the Fock basis.
+
+    The Hamiltonian conserves photon-number parity, so its even and odd Fock
+    blocks are diagonalised apart and every level lies in one parity. One
+    eigh over the whole matrix would mix the parities through the nearly
+    degenerate cat pair (split by 2.0e-7 K at α = 2 in 22 Fock levels).
     """
     if not 2 <= n_levels <= dim:
         raise ValueError("n_levels must lie in [2, dim]")
     hk = h_kerr_single(kerr, omega_p, dim).toarray()
-    w, v = np.linalg.eigh(hk)
+    w = np.empty(dim)
+    v = np.zeros((dim, dim), dtype=complex)
+    for parity in (0, 1):
+        block = np.ix_(range(parity, dim, 2), range(parity, dim, 2))
+        w[parity::2], v[block] = np.linalg.eigh(hk[block])
     order = np.argsort(w)[::-1][:n_levels]
-    return w[order].copy(), np.ascontiguousarray(v[:, order])
+    return w[order], np.ascontiguousarray(v[:, order])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catms.gates import GateModel, no_leakage
+from catms.hilbert import annihilation
 from catms.model import GateConfig, Schedule, h_kerr_single, kerr_level_isometry
 from catms.states import CatParity, all_basis_states, single_mode_cat_vector
 
@@ -72,6 +73,21 @@ def test_kerr_level_isometry_properties():
     for parity in CatParity:
         cat = single_mode_cat_vector(24, 2.0, parity)
         assert np.linalg.norm(v[:, :2].conj().T @ cat) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_kerr_levels_are_parity_pure():
+    # the Kerr Hamiltonian conserves photon-number parity: each level lies in
+    # one parity exactly, the cat pair is one even and one odd level, and a
+    # flips parity, so V†aV has no entry between two levels of one parity
+    dim = 22
+    _, v = kerr_level_isometry(1.0, 4.0, dim, 8)
+    even = np.abs(v[1::2]).max(axis=0) == 0
+    odd = np.abs(v[0::2]).max(axis=0) == 0
+    assert np.all(even != odd)
+    assert sorted(even[:2]) == [False, True]
+    a_red = v.conj().T @ annihilation((dim,), 0).toarray() @ v
+    assert np.all(a_red[even[:, None] == even[None, :]] == 0)
+    assert np.abs(a_red).max() > 1.0  # the cross-parity entries carry a
 
 
 def test_hamiltonians_hermitian():
