@@ -304,7 +304,11 @@ def compute_record(spec: ExperimentSpec, point: dict) -> dict:
 
 
 def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule | None]:
-    """The config and schedule of one gate point; None runs run_gate's constant loop."""
+    """The config and schedule of one gate point; None runs run_gate's constant loop.
+
+    run_gate runs the schedule to its end, so a gate-time error is a schedule
+    of the shortened length.
+    """
     cfg = build_gate_config(spec, point)
     n = spec.raw.get("noise", {})
     if spec.kind == "noise_stochastic":
@@ -318,23 +322,21 @@ def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule |
     if spec.kind == "noise_systematic":
         targets = {k: int(v) for k, v in n.get("targets", {"t_g": -1}).items()}
         eps_a = float(point.get("eps_a", n.get("eps_a", 0.0)))
-        if eps_a != 0.0:
-            cfg = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(eps_a, targets))
-        return cfg, None
+        return noise.apply_systematic(cfg, noise.SystematicNoiseSpec(eps_a, targets))
     if spec.kind not in ("switch_demo", "combined_fig4"):
         return cfg, None
     eps_a = float(point.get("eps_a", n.get("eps_a", 0.05)))
     if spec.kind == "switch_demo" and point.get("scheme", "switched") == "fixed":
-        return cfg.replace(t_gate_factor=1.0 - eps_a), None
-    plan = gates.plan_detuning_switch(
+        return cfg, Schedule.constant(cfg.delta, cfg.j_coupling,
+                                      gates.gate_time(cfg) * (1.0 - eps_a))
+    sched = gates.plan_detuning_switch(
         cfg, eps_a, int(spec.raw.get("switch", {}).get("m_after", 1))
     )
-    sched = plan.to_schedule(cfg.j_coupling)
     if spec.kind == "combined_fig4":
         sys_spec = noise.SystematicNoiseSpec(eps_a, {"J": -1, "delta": -1})
         sched = noise.perturb_schedule(sched, sys_spec)
     # a -eps_a gate-time error stops the run exactly at the switch time
-    return cfg.replace(t_gate_factor=plan.tau / plan.t_total), sched
+    return cfg, sched.clipped(sched.times[1])
 
 
 def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:

@@ -10,13 +10,7 @@ import scipy.sparse as sp
 from .dynamics import IntegratorSettings, evolve_density, propagate_piecewise
 from .hilbert import SparseOperator, annihilation, number_op, tensor_embed
 from .model import CollapseChannel, GateConfig, Schedule, h_kerr_single, kerr_level_isometry
-from .states import (
-    CatParity,
-    QubitBasisState,
-    all_basis_states,
-    fidelity,
-    single_mode_cat_vector,
-)
+from .states import CatParity, basis_state, fidelity, single_mode_cat_vector
 
 
 # --- closed-form loop geometry ------------------------------------------------
@@ -141,14 +135,14 @@ def average_gate_fidelity(m: np.ndarray) -> float:
     return float((np.trace(m @ m.conj().T).real + abs(np.trace(m)) ** 2) / (d**2 + d))
 
 
-def output_fidelity(state: np.ndarray, model: GateModel, input_state: QubitBasisState) -> float:
-    """F_out = ⟨ψ_out|ρ|ψ_out⟩ against the ideal output U_MS(t_g)|input⟩ (β = −π/2)."""
+def output_fidelity(state: np.ndarray, model: GateModel, input_state: int) -> float:
+    """F_out = ⟨ψ_out|ρ|ψ_out⟩ against the ideal output U_MS(t_g)|input_state⟩ (β = −π/2)."""
     n_qubits = len(model.dims) - 1
-    col = ms_target_matrix(n_qubits)[:, input_state.index]
+    col = ms_target_matrix(n_qubits)[:, input_state]
     amps = np.zeros(prod(model.dims), dtype=complex)
-    for k, b in enumerate(all_basis_states(n_qubits)):
+    for k in range(2**n_qubits):
         if abs(col[k]) > 0:
-            amps += col[k] * model.basis_vector(b)
+            amps += col[k] * model.basis_vector(k)
     return fidelity(state, amps)
 
 
@@ -208,29 +202,11 @@ def verify_error_bias(config: GateConfig, tau_err: float, qubit: int,
 # --- detuning switch ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SwitchPlan:
-    """Two-segment detuning plan robust to gate-time imperfection ε_a."""
+def plan_detuning_switch(config: GateConfig, eps_a: float, m_after: int = 1) -> Schedule:
+    """The schedule [0, τ, T] robust to a gate-time imperfection ε_a, at J = config.j_coupling.
 
-    tau: float
-    delta_before: float
-    delta_after: float
-    m_loops: int
-    m_after: int
-    t_total: float
-
-    def to_schedule(self, j_coupling: float) -> Schedule:
-        return Schedule(
-            np.array([0.0, self.tau, self.t_total]),
-            np.array([self.delta_before, self.delta_after]),
-            np.array([j_coupling, j_coupling]),
-        )
-
-
-def plan_detuning_switch(config: GateConfig, eps_a: float, m_after: int = 1) -> SwitchPlan:
-    """Δ = 4√m Jα/√(1−ε_a) until τ = 2πm/Δ, then Δ' = 4√m' Jα/√ε_a.
-
-    Total geometric phase is −π/2 and χ vanishes at both τ and the end.
+    Δ = 4√m Jα/√(1−ε_a) until τ = 2πm/Δ, then Δ' = 4√m' Jα/√ε_a until T.
+    Total geometric phase is −π/2 and χ vanishes at both τ and T.
     """
     if not 0.0 < eps_a < 1.0:
         raise ValueError("eps_a must lie in (0, 1)")
@@ -241,15 +217,15 @@ def plan_detuning_switch(config: GateConfig, eps_a: float, m_after: int = 1) -> 
     tau = 2.0 * np.pi * m / d_before
     d_after = 4.0 * np.sqrt(m_after) * j * alpha / np.sqrt(eps_a)
     t_total = tau + 2.0 * np.pi * m_after / d_after
-    plan = SwitchPlan(tau, d_before, d_after, m, m_after, t_total)
-    sched = plan.to_schedule(j)
+    sched = Schedule(np.array([0.0, tau, t_total]), np.array([d_before, d_after]),
+                     np.array([j, j]))
     chi_tau, _ = loop_trajectory(sched, alpha, tau)
     chi_end, beta_end = loop_trajectory(sched, alpha, t_total)
     if abs(chi_tau) > 1e-10 or abs(chi_end) > 1e-10:
         raise AssertionError("switch plan leaves a residual displacement")
     if abs(beta_end + np.pi / 2.0) > 1e-10:
         raise AssertionError("switch plan does not accumulate β = −π/2")
-    return plan
+    return sched
 
 
 # --- gate models and runner ---------------------------------------------------------
@@ -368,19 +344,16 @@ class GateModel:
         return [((d * self.n0 + self.h_rest + j * self.c).tocsr(), t1 - t0)
                 for t0, t1, d, j, _ in schedule.segments()]
 
-    def basis_vector(self, qbs: QubitBasisState) -> np.ndarray:
-        """|0⟩_bus ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ on the layout `dims`."""
-        v = np.zeros(self.dims[0], dtype=complex)
-        v[0] = 1.0
-        for parity in qbs.parities:
-            v = np.kron(v, self.cats[parity])
-        return v
+    def basis_vector(self, k: int) -> np.ndarray:
+        """Basis state k (states.basis_state) on the layout `dims`."""
+        return basis_state(self.dims[0], self.cats, len(self.dims) - 1, k)
 
 
 def run_gate(config: GateConfig, schedule: Schedule | None = None,
-             input_state: QubitBasisState | None = None, mode: str = "full") -> GateRunResult:
-    """Simulate the gate to the end of the schedule and compute its metrics.
+             input_state: int | None = None, mode: str = "full") -> GateRunResult:
+    """Run the gate over `schedule`, to its end, and compute its metrics.
 
+    The default schedule is the config's constant loop, run for gate_time.
     Mode "effective" runs GateModel.effective; mode "full" runs
     GateModel.kerr_levels when config.kpo_levels is set, else GateModel.fock.
     Coherent runs (all decay rates zero) propagate the full computational basis
@@ -388,24 +361,23 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     effective mode the generator commutes with S_x, so sx_block_columns
     propagates N+1 bus blocks; in full mode propagate_piecewise applies each
     segment's exponential by its Chebyshev expansion. Dissipative runs evolve
-    the density matrix of `input_state` (default: all qubits in |C+>) and report
-    F_out and, in full mode, the no-leakage probability P_C. They take the
-    Lindblad path in both modes: the σy part of the effective model's flip
-    channel does not commute with S_x, so it mixes the blocks.
-    Both report bus_top, a witness of bus truncation: the population left in
-    the top bus Fock level at the end (the largest over the columns, or the
-    trace of ρ's top-level block). The final state, when the run has one (a
-    dissipative run, or a coherent run given `input_state`), is kept as
-    final_state.
+    the density matrix of basis state `input_state`, an index (default 0: all
+    qubits in |C+>), and report F_out and, in full mode, the no-leakage
+    probability P_C. They take the Lindblad path in both modes: the σy part of
+    the effective model's flip channel does not commute with S_x, so it mixes
+    the blocks. Both report bus_top, a witness of bus truncation: the
+    population left in the top bus Fock level at the end (the largest over the
+    columns, or the trace of ρ's top-level block). The final state, when the
+    run has one (a dissipative run, or a coherent run given `input_state`), is
+    kept as final_state.
     """
     if mode not in ("full", "effective"):
         raise ValueError("mode must be 'full' or 'effective'")
     if schedule is None:
         schedule = Schedule.constant(config.delta, config.j_coupling, gate_time(config))
-    t_end = schedule.t_end * config.t_gate_factor
-    sched = schedule.clipped(t_end)
+    t_end = schedule.t_end
 
-    chi_res, beta_tot = loop_trajectory(sched, config.alpha, t_end)
+    chi_res, beta_tot = loop_trajectory(schedule, config.alpha, t_end)
     result = GateRunResult(mode=mode, t_end=t_end,
                            chi_residual=abs(chi_res), beta_total=beta_tot)
 
@@ -415,7 +387,7 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         model = GateModel.fock(config)
     else:
         model = GateModel.kerr_levels(config)
-    unrotate = np.exp(1j * sched.phase(t_end) * model.n0.diagonal().real)
+    unrotate = np.exp(1j * schedule.phase(t_end) * model.n0.diagonal().real)
     n = config.n_qubits
     # the bus is the leading mode, so its top Fock level is the last `rest` rows
     rest = prod(model.dims[1:])
@@ -424,11 +396,11 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         r > 0 for r in (config.kappa0, config.gamma0, config.kappa, config.gamma)
     )
     if not decohering:
-        b = np.stack([model.basis_vector(q) for q in all_basis_states(n)], axis=1)
+        b = np.stack([model.basis_vector(k) for k in range(2**n)], axis=1)
         if mode == "effective":
-            u = sx_block_columns(config, sched)
+            u = sx_block_columns(config, schedule)
         else:
-            u = propagate_piecewise(model.generators(sched), b)
+            u = propagate_piecewise(model.generators(schedule), b)
         u = unrotate[:, None] * u
         m = ms_target_matrix(n).conj().T @ (b.conj().T @ u)
         result.propagator = m
@@ -436,14 +408,13 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         result.bus_top = float((np.abs(u[-rest:]) ** 2).sum(axis=0).max())
         if input_state is None:
             return result
-        state = u[:, input_state.index]
+        state = u[:, input_state]
     else:
-        if input_state is None:
-            input_state = QubitBasisState((CatParity.EVEN,) * n)
+        input_state = 0 if input_state is None else input_state
         v = model.basis_vector(input_state)
         rho = np.outer(v, v.conj())
         settings = IntegratorSettings(rtol=1e-7, atol=1e-9)
-        for h, dt in model.generators(sched):
+        for h, dt in model.generators(schedule):
             rho = evolve_density(h, model.channels, rho, (0.0, dt), settings,
                                  check_positivity=False)
         state = (unrotate[:, None] * rho) * unrotate.conj()[None, :]

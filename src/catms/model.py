@@ -21,8 +21,6 @@ class GateConfig:
     """All physical parameters of the multiqubit gate (rad/us units).
 
     alpha is derived from the drive: alpha = sqrt(omega_p / kerr).
-    t_gate_factor scales the actual evolution horizon relative to the
-    planned schedule (used for systematic gate-time imperfections).
     """
 
     n_qubits: int
@@ -38,7 +36,6 @@ class GateConfig:
     bus_dim: int = 10
     kpo_dim: int = 25
     kpo_levels: int | None = None
-    t_gate_factor: float = 1.0
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -77,8 +74,7 @@ class GateConfig:
         return float(np.sqrt(self.omega_p / self.kerr))
 
     def replace(self, **kw) -> "GateConfig":
-        out = replace(self, **kw)
-        return out
+        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,9 @@ class Schedule:
             )
 
     def clipped(self, t_end: float) -> "Schedule":
-        """Restrict (or extend the last segment) to a new end time."""
-        if t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if t_end >= self.t_end:
-            times = self.times.copy()
-            times[-1] = t_end
-            return Schedule(times, self.delta, self.j_coupling)
+        """The schedule cut at t_end, which must lie in (0, self.t_end]."""
+        if not 0 < t_end <= self.t_end:
+            raise ValueError("t_end must lie in (0, schedule end]")
         k = self.segment_index(t_end)
         if t_end <= self.times[k]:
             # t_end falls exactly on a breakpoint: drop the later segments

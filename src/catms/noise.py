@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gates import gate_time
 from .model import GateConfig, Schedule
 
 RNG_ALGORITHM = "philox4x64"
@@ -79,14 +80,15 @@ def noisy_schedule(config: GateConfig, spec: StochasticNoiseSpec, t_g: float) ->
     return Schedule(times, d_vals, j_vals)
 
 
-def apply_systematic(config: GateConfig, spec: SystematicNoiseSpec) -> GateConfig:
-    """Perturbed copy of the config.
+def apply_systematic(config: GateConfig, spec: SystematicNoiseSpec) -> tuple[GateConfig, Schedule]:
+    """Perturbed copy of the config, and the constant loop that it runs.
 
-    A t_g target is realized through t_gate_factor: the evolution runs to
-    t_g * (1 + sign * eps_a) while the schedule stays planned for nominal t_g.
-    An alpha target scales the drive so that alpha itself scales by the factor.
+    The loop runs at the perturbed (Δ, J) for the perturbed config's
+    gate_time, which a t_g target scales by (1 + sign * eps_a). An alpha
+    target scales the drive so that alpha itself scales by the factor.
     """
     kw = {}
+    t_factor = 1.0
     for name, sign in spec.targets.items():
         factor = 1.0 + sign * spec.eps_a
         if factor <= 0:
@@ -98,8 +100,9 @@ def apply_systematic(config: GateConfig, spec: SystematicNoiseSpec) -> GateConfi
         elif name == "alpha":
             kw["omega_p"] = config.omega_p * factor**2
         elif name == "t_g":
-            kw["t_gate_factor"] = config.t_gate_factor * factor
-    return config.replace(**kw)
+            t_factor = factor
+    out = config.replace(**kw)
+    return out, Schedule.constant(out.delta, out.j_coupling, gate_time(out) * t_factor)
 
 
 def perturb_schedule(schedule: Schedule, spec: SystematicNoiseSpec) -> Schedule:

@@ -1,8 +1,7 @@
-"""Cat-qubit basis labels, cat-state amplitudes and state metrics."""
+"""Cat parities, cat-state amplitudes, computational basis states and state metrics."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,29 +15,6 @@ class CatParity(enum.Enum):
     @property
     def sign(self) -> int:
         return +1 if self is CatParity.EVEN else -1
-
-
-@dataclass(frozen=True)
-class QubitBasisState:
-    """Computational basis label: one cat parity per qubit; the bus is in vacuum."""
-
-    parities: tuple[CatParity, ...]
-
-    @property
-    def index(self) -> int:
-        """Binary index with EVEN=0, ODD=1, first qubit most significant."""
-        idx = 0
-        for p in self.parities:
-            idx = 2 * idx + (0 if p is CatParity.EVEN else 1)
-        return idx
-
-
-def all_basis_states(n_qubits: int) -> list[QubitBasisState]:
-    out = []
-    for k in range(2**n_qubits):
-        bits = [(k >> (n_qubits - 1 - i)) & 1 for i in range(n_qubits)]
-        out.append(QubitBasisState(tuple(CatParity.ODD if b else CatParity.EVEN for b in bits)))
-    return out
 
 
 def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndarray:
@@ -55,18 +31,19 @@ def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndar
     return v / np.linalg.norm(v)
 
 
-def basis_state(config, qbs: QubitBasisState) -> np.ndarray:
-    """|0⟩_bus ⊗ |C_p1⟩ ⊗ … in the Fock basis of GateModel.fock(config).
+def basis_state(bus_dim: int, cats: dict, n_qubits: int, k: int) -> np.ndarray:
+    """|0⟩_bus ⊗ |C_p1⟩ ⊗ … ⊗ |C_pN⟩ of basis index k, with the bus leading.
 
-    config provides bus_dim, kpo_dim, n_qubits and alpha; see model.GateConfig.
+    Qubit 1 is the most significant bit of k, and a set bit means |C−⟩.
+    `cats` maps each CatParity to the KPO's amplitudes in its own basis.
     """
-    if len(qbs.parities) != config.n_qubits:
-        raise ValueError("parity count does not match qubit count")
-    full = np.zeros(config.bus_dim, dtype=complex)
-    full[0] = 1.0
-    for p in qbs.parities:
-        full = np.kron(full, single_mode_cat_vector(config.kpo_dim, config.alpha, p))
-    return full
+    if not 0 <= k < 2**n_qubits:
+        raise ValueError("basis index out of range")
+    v = np.zeros(bus_dim, dtype=complex)
+    v[0] = 1.0
+    for n in range(n_qubits - 1, -1, -1):
+        v = np.kron(v, cats[CatParity.ODD if (k >> n) & 1 else CatParity.EVEN])
+    return v
 
 
 def fidelity(state: np.ndarray, target: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp, trapezoid
 
 from _acceptance_report import report
 from catms import gates, noise, protocols
-from catms.model import GateConfig
+from catms.model import GateConfig, Schedule
 
 K5 = 2.0 * np.pi * 5.0  # Kerr nonlinearity, rad/us
 
@@ -217,13 +217,11 @@ def test_08_detuning_switch_suppresses_gate_time_error():
     eps_a = 0.05
     # the qubit-level model isolates the planning error from truncation noise
     cfg = _cfg(j_mhz=5.0, bus_dim=12)
-    fixed = gates.run_gate(cfg.replace(t_gate_factor=1.0 - eps_a), mode="effective")
-    plan = gates.plan_detuning_switch(cfg, eps_a)
-    sched = plan.to_schedule(cfg.j_coupling)
+    short = Schedule.constant(cfg.delta, cfg.j_coupling, gates.gate_time(cfg) * (1.0 - eps_a))
+    fixed = gates.run_gate(cfg, schedule=short, mode="effective")
+    sched = gates.plan_detuning_switch(cfg, eps_a)
     # a -eps_a gate-time error stops the switched run exactly at the switch time
-    run_cfg = cfg.replace(delta=plan.delta_before,
-                          t_gate_factor=plan.tau / plan.t_total)
-    switched = gates.run_gate(run_cfg, schedule=sched, mode="effective")
+    switched = gates.run_gate(cfg, schedule=sched.clipped(sched.times[1]), mode="effective")
     inf_fixed = 1.0 - fixed.f_avg
     inf_switched = 1.0 - switched.f_avg
     ratio = inf_fixed / inf_switched
@@ -250,16 +248,11 @@ def test_08_detuning_switch_suppresses_gate_time_error():
 def _combined_noise_run(cfg, mode, eps_a=0.05):
     """Decoherence plus -eps_a systematic error on J, detunings, and gate time,
     mitigated by the detuning-switch schedule."""
-    plan = gates.plan_detuning_switch(cfg, eps_a)
-    sched = plan.to_schedule(cfg.j_coupling)
+    sched = gates.plan_detuning_switch(cfg, eps_a)
     sched = noise.perturb_schedule(sched, noise.SystematicNoiseSpec(
         eps_a, {"J": -1, "delta": -1}))
-    run_cfg = cfg.replace(
-        j_coupling=cfg.j_coupling * (1.0 - eps_a),
-        delta=plan.delta_before * (1.0 - eps_a),
-        t_gate_factor=plan.tau / plan.t_total,
-    )
-    return gates.run_gate(run_cfg, schedule=sched, mode=mode)
+    # the gate-time error stops the run exactly at the switch time
+    return gates.run_gate(cfg, schedule=sched.clipped(sched.times[1]), mode=mode)
 
 
 def _combined_noise_closed_form(cfg, eps_a=0.05, n_grid=2001):

@@ -182,7 +182,7 @@ def test_estimate_resources_size_the_model_of_each_grid_point(tmp_path):
 
 
 def test_csv_cells_are_numbers(tmp_path):
-    # a switched run's t_g is a NumPy scalar; it must still be written as a plain number
+    # every metric cell, a switched run's t_g included, is written as a plain number
     p = _write(tmp_path, _base_doc(kind="switch_demo", grid={"eps_a": [0.05]}))
     assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_OK
     with open(tmp_path / "out" / "out.csv", newline="") as fh:
@@ -286,10 +286,11 @@ def test_switch_demo_falls_back_to_noise_eps_a(tmp_path):
     doc = _base_doc(kind="switch_demo", grid={"scheme": ["fixed", "switched"]},
                     noise={"eps_a": 0.2})
     spec = cli.load_spec(_write(tmp_path, doc))
-    (fixed, _), (switched, _) = (cli._gate_run(spec, p) for p in spec.grid_points())
-    assert fixed.t_gate_factor == pytest.approx(0.8, abs=1e-15)
-    plan = gates.plan_detuning_switch(cli.build_gate_config(spec), 0.2)
-    assert switched.t_gate_factor == plan.tau / plan.t_total
+    (_, fixed), (_, switched) = (cli._gate_run(spec, p) for p in spec.grid_points())
+    cfg = cli.build_gate_config(spec)
+    assert fixed.t_end / gates.gate_time(cfg) == pytest.approx(0.8, abs=1e-15)
+    # the switched run stops at the switch time τ of the plan for ε_a = 0.2
+    assert switched.t_end == gates.plan_detuning_switch(cfg, 0.2).times[1]
 
 
 def test_bus_rate_alias_sets_both_bus_channels(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from catms import gates, noise
 from catms.dynamics import propagate_piecewise
 from catms.model import GateConfig, Schedule
-from catms.states import CatParity, QubitBasisState, all_basis_states, basis_state
+from catms.states import CatParity, basis_state, single_mode_cat_vector
 
 
 def _cfg(**kw):
@@ -14,6 +14,12 @@ def _cfg(**kw):
                 j_coupling=2 * np.pi * 0.5, bus_dim=8, kpo_dim=14)
     base.update(kw)
     return GateConfig.from_alpha(**base)
+
+
+def _fock_basis_state(cfg, k):
+    """Basis state k built from the Fock-basis cats of the config."""
+    cats = {p: single_mode_cat_vector(cfg.kpo_dim, cfg.alpha, p) for p in CatParity}
+    return basis_state(cfg.bus_dim, cats, cfg.n_qubits, k)
 
 
 def test_loop_geometry_closed_form():
@@ -96,12 +102,14 @@ def test_error_bias_identity():
 
 def test_switch_plan_invariants():
     cfg = _cfg()
-    plan = gates.plan_detuning_switch(cfg, 0.05)
-    sched = plan.to_schedule(cfg.j_coupling)
-    chi_end, beta_end = gates.loop_trajectory(sched, cfg.alpha, plan.t_total)
+    sched = gates.plan_detuning_switch(cfg, 0.05)
+    tau, t_total = sched.times[1], sched.t_end
+    assert len(sched.delta) == 2
+    assert np.array_equal(sched.j_coupling, [cfg.j_coupling, cfg.j_coupling])
+    chi_end, beta_end = gates.loop_trajectory(sched, cfg.alpha, t_total)
     assert abs(chi_end) < 1e-10
     assert beta_end == pytest.approx(-np.pi / 2.0, abs=1e-10)
-    chi_tau, _ = gates.loop_trajectory(sched, cfg.alpha, plan.tau)
+    chi_tau, _ = gates.loop_trajectory(sched, cfg.alpha, tau)
     assert abs(chi_tau) < 1e-10
     with pytest.raises(ValueError):
         gates.plan_detuning_switch(cfg, 1.5)
@@ -132,15 +140,15 @@ def test_run_gate_reduced_basis_matches_full():
 
 def test_no_leakage_on_pure_cat_product():
     cfg = _cfg(bus_dim=4, kpo_dim=16)
-    psi = basis_state(cfg, QubitBasisState((CatParity.EVEN, CatParity.ODD)))
+    psi = _fock_basis_state(cfg, 0b01)
     assert gates.no_leakage(psi, gates.GateModel.fock(cfg)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_output_fidelity_of_ideal_output():
     cfg = _cfg(bus_dim=4, kpo_dim=16)
-    inp = QubitBasisState((CatParity.EVEN, CatParity.EVEN))
-    col = gates.ms_target_matrix(2)[:, inp.index]
-    out = sum(c * basis_state(cfg, b) for c, b in zip(col, all_basis_states(2)))
+    inp = 0b00
+    col = gates.ms_target_matrix(2)[:, inp]
+    out = sum(c * _fock_basis_state(cfg, k) for k, c in enumerate(col))
     model = gates.GateModel.fock(cfg)
     assert gates.output_fidelity(out, model, inp) == pytest.approx(1.0, abs=1e-10)
 
@@ -154,7 +162,7 @@ def test_parity_conservation_in_coherent_run():
     # the full gate couples KPOs only through photon exchange with the bus,
     # so the joint photon-number parity of the final state is unchanged
     cfg = _cfg(n_qubits=1, bus_dim=8, kpo_dim=14)
-    res = gates.run_gate(cfg, mode="full", input_state=QubitBasisState((CatParity.EVEN,)))
+    res = gates.run_gate(cfg, mode="full", input_state=0)
     amps = res.final_state
     parity = (-1) ** np.indices(gates.model_dims(cfg, "full")).sum(axis=0).ravel()
     odd_weight = float(np.sum(np.abs(amps[parity < 0]) ** 2))
@@ -175,16 +183,16 @@ def test_coherent_block_keeps_basis_order():
     # F_out of input i is |<target_i|u_i>|² = |M_ii|², so a final column taken
     # from the wrong place in the propagated block fails this
     cfg = _cfg()
-    for inp in all_basis_states(2):
+    for inp in range(4):
         res = gates.run_gate(cfg, mode="effective", input_state=inp)
-        m_ii = res.propagator[inp.index, inp.index]
+        m_ii = res.propagator[inp, inp]
         assert res.f_out == pytest.approx(abs(m_ii) ** 2, abs=1e-12)
 
 
 def _piecewise_columns(config, schedule):
     """The effective model's basis columns, propagated segment by segment on the whole space."""
     model = gates.GateModel.effective(config)
-    b = np.stack([model.basis_vector(q) for q in all_basis_states(config.n_qubits)], axis=1)
+    b = np.stack([model.basis_vector(k) for k in range(2**config.n_qubits)], axis=1)
     return propagate_piecewise(model.generators(schedule), b)
 
 
@@ -197,9 +205,9 @@ def test_sx_blocks_match_piecewise_propagation(n_qubits, monkeypatch):
     spec = noise.StochasticNoiseSpec(eps_s=0.1, seed=3, n_events=50, targets=("J", "delta"))
     schedules = [
         noise.noisy_schedule(cfg, spec, gates.gate_time(cfg)),
-        gates.plan_detuning_switch(cfg, 0.05).to_schedule(cfg.j_coupling),
+        gates.plan_detuning_switch(cfg, 0.05),
     ]
-    inp = all_basis_states(n_qubits)[1]
+    inp = 1
     for sched in schedules:
         cols = gates.sx_block_columns(cfg, sched)
         assert np.abs(cols - _piecewise_columns(cfg, sched)).max() < 1e-12

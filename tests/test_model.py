@@ -6,7 +6,7 @@ import pytest
 from catms.gates import GateModel, no_leakage
 from catms.hilbert import annihilation
 from catms.model import GateConfig, Schedule, h_kerr_single, kerr_level_isometry
-from catms.states import CatParity, all_basis_states, single_mode_cat_vector
+from catms.states import CatParity, single_mode_cat_vector
 
 
 def _cfg(**kw):
@@ -136,7 +136,7 @@ def test_projector_cat_idempotent():
     outside = psi - proj @ psi
     outside /= np.linalg.norm(outside)
     assert no_leakage(outside, model) < 1e-12
-    cat = model.basis_vector(all_basis_states(2)[1])
+    cat = model.basis_vector(1)
     c2 = np.cos(0.3) ** 2
     rho = c2 * np.outer(cat, cat.conj()) + (1 - c2) * np.outer(outside, outside.conj())
     assert no_leakage(rho, model) == pytest.approx(c2, abs=1e-12)
@@ -155,10 +155,16 @@ def test_schedule_clipped():
     assert mid.t_end == 2.0 and len(mid.delta) == 2
     at_break = s.clipped(1.0)
     assert at_break.t_end == 1.0 and len(at_break.delta) == 1
-    longer = s.clipped(4.0)
-    assert longer.t_end == 4.0 and len(longer.delta) == 2
     with pytest.raises(ValueError):
         s.clipped(0.0)
+
+
+def test_schedule_clipped_rejects_a_later_end():
+    # clipped only cuts a schedule; it never extends the last segment
+    s = Schedule(np.array([0.0, 1.0, 3.0]), np.array([2.0, 5.0]), np.array([1.0, 1.0]))
+    assert s.clipped(3.0).t_end == 3.0
+    with pytest.raises(ValueError):
+        s.clipped(3.5)
 
 
 def test_schedule_validation():

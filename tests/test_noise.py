@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catms import noise
+from catms import gates, noise
 from catms.model import GateConfig, Schedule
 
 
@@ -53,16 +53,20 @@ def test_noisy_schedule_targets():
 
 
 def test_apply_systematic_each_target():
+    # the perturbed config, and the constant loop at its (Δ, J) for its gate time
     cfg = _cfg()
-    out = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"J": -1}))
+    out, sched = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"J": -1}))
     assert out.j_coupling == pytest.approx(0.95 * cfg.j_coupling)
-    out = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"delta": +1}))
+    assert sched.j_coupling[0] == out.j_coupling and sched.t_end == gates.gate_time(out)
+    out, sched = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"delta": +1}))
     assert out.delta == pytest.approx(1.05 * cfg.delta)
-    out = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"alpha": +1}))
+    assert sched.delta[0] == out.delta and sched.t_end == gates.gate_time(out)
+    out, _ = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"alpha": +1}))
     assert out.alpha == pytest.approx(1.05 * cfg.alpha)
-    out = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"t_g": -1}))
-    assert out.t_gate_factor == pytest.approx(0.95)
-    assert out.delta == cfg.delta  # schedule itself unchanged
+    out, sched = noise.apply_systematic(cfg, noise.SystematicNoiseSpec(0.05, {"t_g": -1}))
+    assert sched.t_end / gates.gate_time(cfg) == pytest.approx(0.95)
+    assert out.delta == cfg.delta  # the loop itself unchanged
+    assert (sched.delta[0], sched.j_coupling[0]) == (cfg.delta, cfg.j_coupling)
 
 
 def test_perturb_schedule():

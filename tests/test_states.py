@@ -4,14 +4,7 @@ import pytest
 from catms.gates import GateModel
 from catms.hilbert import displacement, number_op
 from catms.model import GateConfig
-from catms.states import (
-    CatParity,
-    QubitBasisState,
-    all_basis_states,
-    basis_state,
-    fidelity,
-    single_mode_cat_vector,
-)
+from catms.states import CatParity, basis_state, fidelity, single_mode_cat_vector
 
 
 def _displaced_vacuum(dim, alpha):
@@ -62,28 +55,43 @@ def test_cat_normalization_closed_form():
         assert np.abs(cat - raw[parity] / np.sqrt(ip)).max() < 1e-12
 
 
+def _cats(dim, alpha):
+    return {p: single_mode_cat_vector(dim, alpha, p) for p in CatParity}
+
+
 def test_qubit_basis_state_index():
-    s = QubitBasisState((CatParity.EVEN, CatParity.ODD, CatParity.EVEN))
-    assert s.index == 0b010
-    assert all_basis_states(2)[3].parities == (CatParity.ODD, CatParity.ODD)
+    # qubit 1 is the most significant bit, and a set bit is |C−⟩
+    cats = _cats(10, 1.5)
+    plus, minus = cats[CatParity.EVEN], cats[CatParity.ODD]
+    vac = np.eye(3)[0]
+    expected = np.kron(np.kron(np.kron(vac, plus), minus), plus)
+    assert np.array_equal(basis_state(3, cats, 3, 0b010), expected)
+    assert np.array_equal(basis_state(3, cats, 2, 3), np.kron(np.kron(vac, minus), minus))
+    for k in (-1, 8):
+        with pytest.raises(ValueError):
+            basis_state(3, cats, 3, k)
 
 
 def test_basis_state_is_normalized_product():
-    cfg = GateConfig.from_alpha(n_qubits=2, kerr=1.0, alpha=2.0, j_coupling=0.1,
-                                bus_dim=4, kpo_dim=20)
-    psi = basis_state(cfg, QubitBasisState((CatParity.EVEN, CatParity.ODD)))
+    cats = _cats(20, 2.0)
+    psi = basis_state(4, cats, 2, 0b01)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     # orthogonal to a different parity pattern
-    phi = basis_state(cfg, QubitBasisState((CatParity.ODD, CatParity.EVEN)))
+    phi = basis_state(4, cats, 2, 0b10)
     assert abs(np.vdot(psi, phi)) < 1e-12
 
 
 def test_basis_state_is_the_fock_model_basis_vector():
+    # the Fock model's basis vectors are the Fock-basis cat products of the config
     cfg = GateConfig.from_alpha(n_qubits=3, kerr=1.0, alpha=1.5, j_coupling=0.1,
                                 bus_dim=3, kpo_dim=10)
     model = GateModel.fock(cfg)
-    for qbs in all_basis_states(3):
-        assert np.array_equal(basis_state(cfg, qbs), model.basis_vector(qbs))
+    cats = _cats(cfg.kpo_dim, cfg.alpha)
+    for k in range(8):
+        v = np.eye(cfg.bus_dim, dtype=complex)[0]
+        for bit in (k >> 2 & 1, k >> 1 & 1, k & 1):
+            v = np.kron(v, cats[CatParity.ODD if bit else CatParity.EVEN])
+        assert np.array_equal(model.basis_vector(k), v)
 
 
 def test_fidelity_pure_and_mixed():
