@@ -90,6 +90,21 @@ def _two_pi_flag(entry) -> bool:
     return isinstance(entry, dict) and bool(entry.get("two_pi", False))
 
 
+def _as_int(v, key: str) -> int:
+    """An integer entry; a float counts only when it is integral (2.0, not 2.5)."""
+    if type(v) is int or (isinstance(v, float) and v.is_integer()):  # a bool is not an int
+        return int(v)
+    raise ConfigError(f"{key}: expected an integer, got {v!r}")
+
+
+def _section(spec: ExperimentSpec, name: str) -> dict:
+    """The recipe's `name` object, {} when the recipe has none."""
+    section = spec.raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return section
+
+
 @dataclass
 class ExperimentSpec:
     kind: str
@@ -142,23 +157,25 @@ def load_spec(path: str | Path, mode_override: str | None = None,
         unread |= {"omega_p"} & set(grid)  # the drive follows from alpha
     if unread:
         raise ConfigError(f"{path}: grid keys {sorted(unread)} are not read by kind {kind!r}")
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = doc.get("seed", 0) if seed_override is None else seed_override
     spec = ExperimentSpec(
         kind=kind,
         mode=mode,
         output=doc.get("output", f"{kind}.csv"),
         raw=doc,
         grid={k: list(v) for k, v in grid.items()},
-        seed=seed,
-        ceiling_bytes=int(doc.get("resource_ceiling_bytes", DEFAULT_CEILING_BYTES)),
+        seed=_as_int(seed, "seed"),
+        ceiling_bytes=_as_int(doc.get("resource_ceiling_bytes", DEFAULT_CEILING_BYTES),
+                              "resource_ceiling_bytes"),
     )
-    # kind-specific sanity checks happen while building the base and point configs
-    if kind not in ("cat_prep", "single_qubit"):
-        configs = [build_gate_config(spec, p) for p in [{}, *spec.grid_points()]]
-        if kind == "combined_fig4" and mode == "full" and max(c.n_qubits for c in configs) > 2:
-            raise ConfigError(
-                f"{path}: combined_fig4 in full mode is limited to n_qubits <= 2"
-            )
+    # the base and every grid point are resolved as they will run, so that a
+    # value the computation cannot take fails here, before any point runs
+    resolve = _SINGLE_MODE_ARGS.get(kind, _gate_run)
+    for point in [{}, *spec.grid_points()]:
+        try:
+            resolve(spec, point)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: point {point}: {exc}") from None
     return spec
 
 
@@ -183,7 +200,7 @@ def build_gate_config(spec: ExperimentSpec, overrides: dict | None = None) -> Ga
 
     def get_int(key, default=None):
         v = overrides.get(key, c.get(key, default))
-        return None if v is None else int(v)
+        return None if v is None else _as_int(v, key)
 
     try:
         n_qubits = get_int("n_qubits", 2)
@@ -239,16 +256,11 @@ def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
     set of a density run, DENSITY_WORKING_SET copies, with the ceiling.
     """
     if spec.kind == "cat_prep":
-        dim = int(spec.raw.get("config", {}).get("dim", 30))
-        c = spec.raw.get("config", {})
-        density = _resolve_value(c.get("kappa", 0.0), "kappa") > 0 or _resolve_value(
-            c.get("gamma", 0.0), "gamma"
-        ) > 0
-        n = dim * dim if density else dim
-        return ResourceEstimate(n * 16, density)
+        args = _cat_prep_args(spec, {})
+        density = args["kappa"] > 0 or args["gamma"] > 0
+        return ResourceEstimate((args["dim"] ** 2 if density else args["dim"]) * 16, density)
     if spec.kind == "single_qubit":
-        dim = int(spec.raw.get("config", {}).get("dim", 40))
-        return ResourceEstimate(dim * 16 * 2, False)
+        return ResourceEstimate(_single_qubit_args(spec, {})["dim"] * 16 * 2, False)
     estimates = []
     for point in list(spec.grid_points()) or [{}]:
         cfg = build_gate_config(spec, point)
@@ -310,17 +322,22 @@ def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule |
     of the shortened length.
     """
     cfg = build_gate_config(spec, point)
-    n = spec.raw.get("noise", {})
+    n = _section(spec, "noise")
+    if spec.kind == "combined_fig4" and spec.mode == "full" and cfg.n_qubits > 2:
+        raise ConfigError("combined_fig4 in full mode is limited to n_qubits <= 2")
     if spec.kind == "noise_stochastic":
         ns = noise.StochasticNoiseSpec(
             eps_s=float(point.get("eps_s", n.get("eps_s", 0.0))),
-            seed=int(point.get("seed", spec.seed)),
-            n_events=int(n.get("n_events", 1000)),
+            seed=_as_int(point.get("seed", spec.seed), "seed"),
+            n_events=_as_int(n.get("n_events", 1000), "noise.n_events"),
             targets=tuple(n.get("targets", ["J"])),
         )
         return cfg, noise.noisy_schedule(cfg, ns, gates.gate_time(cfg))
     if spec.kind == "noise_systematic":
-        targets = {k: int(v) for k, v in n.get("targets", {"t_g": -1}).items()}
+        targets = n.get("targets", {"t_g": -1})
+        if not isinstance(targets, dict):
+            raise ConfigError("noise.targets must map each target to its sign")
+        targets = {k: _as_int(v, f"noise.targets.{k}") for k, v in targets.items()}
         eps_a = float(point.get("eps_a", n.get("eps_a", 0.0)))
         return noise.apply_systematic(cfg, noise.SystematicNoiseSpec(eps_a, targets))
     if spec.kind not in ("switch_demo", "combined_fig4"):
@@ -329,9 +346,8 @@ def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule |
     if spec.kind == "switch_demo" and point.get("scheme", "switched") == "fixed":
         return cfg, Schedule.constant(cfg.delta, cfg.j_coupling,
                                       gates.gate_time(cfg) * (1.0 - eps_a))
-    sched = gates.plan_detuning_switch(
-        cfg, eps_a, int(spec.raw.get("switch", {}).get("m_after", 1))
-    )
+    m_after = _as_int(_section(spec, "switch").get("m_after", 1), "switch.m_after")
+    sched = gates.plan_detuning_switch(cfg, eps_a, m_after)
     if spec.kind == "combined_fig4":
         sys_spec = noise.SystematicNoiseSpec(eps_a, {"J": -1, "delta": -1})
         sched = noise.perturb_schedule(sched, sys_spec)
@@ -339,36 +355,63 @@ def _gate_run(spec: ExperimentSpec, point: dict) -> tuple[GateConfig, Schedule |
     return cfg, sched.clipped(sched.times[1])
 
 
+def _cat_prep_args(spec: ExperimentSpec, point: dict) -> dict:
+    """The arguments of protocols.run_cat_prep at one cat_prep point."""
+    c = _section(spec, "config")
+    args = dict(
+        kerr=_resolve_value(c.get("kerr", 1.0), "kerr"),
+        alpha=float(point.get("alpha", c.get("alpha", 2.0))),
+        t0=float(point.get("t0", c.get("t0", 1.7))),
+        initial_fock=_as_int(point.get("initial_fock", c.get("initial_fock", 0)), "initial_fock"),
+        kappa=_resolve_value(c.get("kappa", 0.0), "kappa"),
+        gamma=_resolve_value(c.get("gamma", 0.0), "gamma"),
+        dim=_as_int(c.get("dim", 30), "dim"),
+    )
+    if not (args["kerr"] > 0 and args["alpha"] > 0 and args["t0"] > 0):
+        raise ConfigError("cat_prep: kerr, alpha and t0 must be positive")
+    if not (args["kappa"] >= 0 and args["gamma"] >= 0):
+        raise ConfigError("cat_prep: kappa and gamma must be non-negative")
+    if args["initial_fock"] not in (0, 1) or args["dim"] < 2:
+        raise ConfigError("cat_prep: initial_fock must be 0 or 1, and dim at least 2")
+    return args
+
+
+def _single_qubit_args(spec: ExperimentSpec, point: dict) -> dict:
+    """The arguments of protocols.run_single_qubit_gate at one single_qubit point."""
+    c = _section(spec, "config")
+    kerr = _resolve_value(c.get("kerr", 1.0), "kerr")
+    alpha = float(c.get("alpha", 2.0))
+    if not (kerr > 0 and alpha > 0):
+        raise ConfigError("single_qubit: kerr and alpha must be positive")
+    t_gate = float(point.get("t_gate", c.get("t_gate", 5.0 / kerr)))
+    dim = _as_int(c.get("dim", 40), "dim")
+    if not (t_gate > 0 and dim >= 2):
+        raise ConfigError("single_qubit: t_gate must be positive, and dim at least 2")
+    use_h_add = bool(point.get("use_h_add", c.get("use_h_add", False)))
+    params = protocols.design_single_qubit_drive(
+        str(point.get("target", c.get("target", "hadamard"))), alpha, t_gate, use_h_add)
+    return dict(kerr=kerr, omega_p=kerr * alpha**2, params=params, use_h_add=use_h_add,
+                t_gate=t_gate, dim=dim)
+
+
+_SINGLE_MODE_ARGS = {"cat_prep": _cat_prep_args, "single_qubit": _single_qubit_args}
+"""One reader per single-mode kind: (spec, point) -> the protocol's arguments.
+
+load_spec, estimate_resources and _metrics_record all read a point through
+it, so a value the protocol cannot run is a config error before any point runs.
+"""
+
+
 def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
     rec = _base_record(point, spec.seed)
-    c = spec.raw.get("config", {})
     if spec.kind == "cat_prep":
-        kerr = _resolve_value(c.get("kerr", 1.0), "kerr")
-        res = protocols.run_cat_prep(
-            kerr,
-            float(point.get("alpha", c.get("alpha", 2.0))),
-            float(point.get("t0", c.get("t0", 1.7))),
-            initial_fock=int(point.get("initial_fock", c.get("initial_fock", 0))),
-            kappa=_resolve_value(c.get("kappa", 0.0), "kappa"),
-            gamma=_resolve_value(c.get("gamma", 0.0), "gamma"),
-            dim=int(c.get("dim", 30)),
-        )
+        res = protocols.run_cat_prep(**_cat_prep_args(spec, point))
         rec["f_out"] = res.fidelity
         rec["p_c"] = res.margin
     elif spec.kind == "single_qubit":
-        kerr = _resolve_value(c.get("kerr", 1.0), "kerr")
-        alpha = float(c.get("alpha", 2.0))
-        t_gate = float(point.get("t_gate", c.get("t_gate", 5.0 / kerr)))
-        use_h_add = bool(point.get("use_h_add", c.get("use_h_add", False)))
-        params = protocols.design_single_qubit_drive(
-            str(point.get("target", c.get("target", "hadamard"))), alpha, t_gate,
-            use_h_add,
-        )
-        res = protocols.run_single_qubit_gate(
-            kerr, kerr * alpha**2, params, use_h_add=use_h_add, t_gate=t_gate,
-            dim=int(c.get("dim", 40)),
-        )
-        rec["t_g"] = t_gate
+        args = _single_qubit_args(spec, point)
+        res = protocols.run_single_qubit_gate(**args)
+        rec["t_g"] = args["t_gate"]
         rec["f_avg"] = res.fidelity
     else:
         cfg, sched = _gate_run(spec, point)

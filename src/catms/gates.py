@@ -233,7 +233,6 @@ def plan_detuning_switch(config: GateConfig, eps_a: float, m_after: int = 1) -> 
 
 @dataclass
 class GateRunResult:
-    mode: str
     t_end: float
     f_avg: float | None = None
     f_out: float | None = None
@@ -378,8 +377,7 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     t_end = schedule.t_end
 
     chi_res, beta_tot = loop_trajectory(schedule, config.alpha, t_end)
-    result = GateRunResult(mode=mode, t_end=t_end,
-                           chi_residual=abs(chi_res), beta_total=beta_tot)
+    result = GateRunResult(t_end=t_end, chi_residual=abs(chi_res), beta_total=beta_tot)
 
     if mode == "effective":
         model = GateModel.effective(config)

@@ -90,7 +90,6 @@ def ramp_margin(kerr: float, schedule: CatPrepSchedule, n_samples: int = 101) ->
 class CatPrepResult:
     target_parity: CatParity
     fidelity: float
-    final_state: np.ndarray  # state vector, or density matrix of a lossy ramp
     margin: float
 
 
@@ -120,8 +119,7 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
         final = evolve_density(h, channels, np.outer(psi0, psi0.conj()), (-t0, 0.0), settings)
     else:
         final = evolve_state(h, psi0, (-t0, 0.0), settings)
-    return CatPrepResult(parity, fidelity(final, target), final,
-                         ramp_margin(kerr, schedule))
+    return CatPrepResult(parity, fidelity(final, target), ramp_margin(kerr, schedule))
 
 
 # --- single-qubit gates -----------------------------------------------------------

@@ -72,15 +72,50 @@ def test_load_spec_rejects_bad_documents(tmp_path):
         cli.load_spec(_write(tmp_path, doc))
 
 
+def _single_mode_doc(kind, config=None, grid=None):
+    """A small cat_prep or single_qubit recipe, with `config` entries and `grid` replaced."""
+    base_config, base_grid = {
+        "cat_prep": ({"kerr": 1.0, "alpha": 1.0, "t0": 1.0, "dim": 12}, {"initial_fock": [0]}),
+        "single_qubit": ({"kerr": 1.0, "alpha": 2.0, "dim": 12}, {"t_gate": [0.5]}),
+    }[kind]
+    return {"version": 1, "kind": kind, "output": "out.csv",
+            "config": {**base_config, **(config or {})}, "grid": grid or base_grid}
+
+
 def test_exit_code_on_config_error(tmp_path, capsys):
     # an unsupported version, and a mode truncated to one level in the base
     # config or in the grid
-    for doc in (_base_doc(version=9),
-                _base_doc(config={**_base_doc()["config"], "bus_dim": 1}),
-                _base_doc(grid={"kpo_dim": [12, 1]})):
+    docs = [_base_doc(version=9),
+            _base_doc(config={**_base_doc()["config"], "bus_dim": 1}),
+            _base_doc(grid={"kpo_dim": [12, 1]})]
+    # single-mode recipes with a value their protocol cannot run
+    docs += [_single_mode_doc("cat_prep", {"dim": 1}),
+             _single_mode_doc("cat_prep", grid={"t0": [-1.0]}),
+             _single_mode_doc("cat_prep", grid={"initial_fock": [2]}),
+             _single_mode_doc("cat_prep", {"kappa": -0.1}),
+             _single_mode_doc("cat_prep", {"kerr": -1.0}),
+             {**_single_mode_doc("cat_prep"), "config": [1.0]},
+             _single_mode_doc("single_qubit", {"dim": 1}),
+             _single_mode_doc("single_qubit", grid={"target": ["cnot"]}),
+             _single_mode_doc("single_qubit", grid={"t_gate": [-0.5]}),
+             _single_mode_doc("single_qubit", {"kerr": -1.0})]
+    # gate recipes whose point cannot be resolved into a (config, schedule) pair
+    docs += [_base_doc(kind="switch_demo", grid={"eps_a": [1.5]}),
+             _base_doc(kind="switch_demo", grid={"eps_a": [0.05]}, switch={"m_after": 3}),
+             _base_doc(kind="noise_stochastic", grid={"eps_s": [0.05]}, noise={"targets": ["X"]}),
+             _base_doc(kind="noise_stochastic", grid={"eps_s": [-0.1]}),
+             _base_doc(kind="noise_stochastic", grid={"eps_s": [0.05]}, noise={"n_events": 0}),
+             _base_doc(kind="noise_systematic", grid={"eps_a": [0.05]},
+                       noise={"targets": {"Q": -1}}),
+             _base_doc(grid={"n_qubits": [2.5]}),
+             _base_doc(config={**_base_doc()["config"], "bus_dim": 8.9}),
+             _base_doc(seed="seven"),
+             _base_doc(resource_ceiling_bytes="lots")]
+    for doc in docs:
         p = _write(tmp_path, doc)
-        assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_CONFIG
+        assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_CONFIG, doc
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "out.csv").exists()
 
 
 def test_empty_grid_yields_header_only_csv(tmp_path):
