@@ -36,16 +36,25 @@ EXIT_NUMERIC = 4
 
 CONFIG_VERSION = 1
 DEFAULT_CEILING_BYTES = 8 * 1024**3
-DENSITY_WORKING_SET = 25
-"""Peak working set of a density-matrix run, in copies of ρ.
+DENSITY_WORKING_SET = 10
+"""Peak working set of a gate's density-matrix run, in copies of ρ.
 
-SciPy's RK45 holds 14 copies: its 7 stage rows, y, y_old, y_new, f, f_new,
-and dy and y + dy for the next stage. The dense output of the step that
-reaches t1 adds 4 (an n×4 array), the t_eval outputs 2 to 4, and the
-Lindblad right-hand side 3 or 4 temporaries, so 23 to 26 in all.
-tracemalloc measured peaks of 22.5 × one copy on the dim-160 Kerr-level
-point of fig2a_bus_decoherence (kpo_levels 4, bus_rate 0.1) and 24.2 × on
-the dim-80 effective fig4_output_fidelity point at N = 2.
+Each segment is propagated by dynamics._lindblad_series, which holds up to 9
+copies: the segment's ρ0, the sub-step's input, the terms S_{k−1}, S_k and
+S_{k+1}, the sum and the temporary of its update, the Lindblad map's
+conjugate-transpose buffer and one sparse product in flight. tracemalloc
+measured peaks of 9.3 × one copy over a whole run_gate, the metrics
+included, on the dim-80 effective fig4_output_fidelity point at N = 2, and
+8.7 × on the dim-160 Kerr-level point of fig2a_bus_decoherence (kpo_levels
+4, bus_rate 0.1).
+"""
+RAMP_WORKING_SET = 25
+"""Peak working set of the lossy cat-prep ramp, which runs under RK45, in copies of ρ.
+
+SciPy's RK45 holds 14 copies (7 stage rows, y, y_old, y_new, f, f_new, dy
+and y + dy), the dense output of the last step 4, the t_eval outputs 2 to 4
+and the Lindblad right-hand side 3 or 4, so 23 to 26 in all. tracemalloc
+measured 22.5 to 24.2 copies when the gates still ran under RK45.
 """
 
 _GATE_KEYS = frozenset({"n_qubits", "kerr", "alpha", "omega_p", "j_coupling", "delta",
@@ -82,12 +91,19 @@ def _resolve_value(entry, key: str) -> float:
             v = float(entry["value"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"{key}: expected a number in 'value'") from None
-        return 2.0 * np.pi * v if entry.get("two_pi", False) else v
+        return 2.0 * np.pi * v if _two_pi_flag(entry) else v
     raise ConfigError(f"{key}: expected a number or {{value, two_pi}} object")
 
 
 def _two_pi_flag(entry) -> bool:
-    return isinstance(entry, dict) and bool(entry.get("two_pi", False))
+    return isinstance(entry, dict) and _as_bool(entry.get("two_pi", False), "two_pi")
+
+
+def _as_bool(v, key: str) -> bool:
+    """A JSON boolean; any other value (the string "false", 0, 1, null) is an error."""
+    if type(v) is bool:
+        return v
+    raise ConfigError(f"{key}: expected true or false, got {v!r}")
 
 
 def _as_int(v, key: str) -> int:
@@ -243,6 +259,7 @@ def build_gate_config(spec: ExperimentSpec, overrides: dict | None = None) -> Ga
 class ResourceEstimate:
     bytes_required: int
     density: bool
+    copies: int = 1  # the working set of the run, in copies of the state
 
 
 def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
@@ -253,21 +270,26 @@ def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
     run when any decay rate, including one the grid sets, is positive.
 
     bytes_required counts one copy of the state. `run` compares the working
-    set of a density run, DENSITY_WORKING_SET copies, with the ceiling.
+    set of a density run, `copies` copies of it, with the ceiling: the
+    DENSITY_WORKING_SET of the Chebyshev series for a gate, the
+    RAMP_WORKING_SET of RK45 for the lossy cat-prep ramp.
     """
     if spec.kind == "cat_prep":
         args = _cat_prep_args(spec, {})
         density = args["kappa"] > 0 or args["gamma"] > 0
-        return ResourceEstimate((args["dim"] ** 2 if density else args["dim"]) * 16, density)
+        return ResourceEstimate((args["dim"] ** 2 if density else args["dim"]) * 16, density,
+                                RAMP_WORKING_SET if density else 1)
     if spec.kind == "single_qubit":
-        return ResourceEstimate(_single_qubit_args(spec, {})["dim"] * 16 * 2, False)
+        # the Josephson path propagates the dim × dim identity
+        return ResourceEstimate(_single_qubit_args(spec, {})["dim"] ** 2 * 16, False)
     estimates = []
     for point in list(spec.grid_points()) or [{}]:
         cfg = build_gate_config(spec, point)
         dim = prod(gates.model_dims(cfg, spec.mode))
         density = any(r > 0 for r in (cfg.kappa, cfg.gamma, cfg.kappa0, cfg.gamma0))
-        estimates.append(ResourceEstimate((dim * dim if density else dim) * 16, density))
-    return max(estimates, key=lambda e: e.bytes_required)
+        estimates.append(ResourceEstimate((dim * dim if density else dim) * 16, density,
+                                          DENSITY_WORKING_SET if density else 1))
+    return max(estimates, key=lambda e: e.copies * e.bytes_required)
 
 
 # --- per-kind record computation ----------------------------------------------
@@ -387,7 +409,7 @@ def _single_qubit_args(spec: ExperimentSpec, point: dict) -> dict:
     dim = _as_int(c.get("dim", 40), "dim")
     if not (t_gate > 0 and dim >= 2):
         raise ConfigError("single_qubit: t_gate must be positive, and dim at least 2")
-    use_h_add = bool(point.get("use_h_add", c.get("use_h_add", False)))
+    use_h_add = _as_bool(point.get("use_h_add", c.get("use_h_add", False)), "use_h_add")
     params = protocols.design_single_qubit_drive(
         str(point.get("target", c.get("target", "hadamard"))), alpha, t_gate, use_h_add)
     return dict(kerr=kerr, omega_p=kerr * alpha**2, params=params, use_h_add=use_h_add,
@@ -478,11 +500,11 @@ def run(config_path: str, out_dir: str, workers: int = 1,
     try:
         spec = load_spec(config_path, mode_override, seed_override)
         est = estimate_resources(spec)
-        working_set = DENSITY_WORKING_SET * est.bytes_required
+        working_set = est.copies * est.bytes_required
         if est.density and working_set > spec.ceiling_bytes:
             print(
                 f"resource refusal: density-matrix run needs about {working_set} bytes "
-                f"({DENSITY_WORKING_SET} copies of rho at {est.bytes_required} bytes; "
+                f"({est.copies} copies of rho at {est.bytes_required} bytes; "
                 f"> ceiling {spec.ceiling_bytes})",
                 file=sys.stderr,
             )

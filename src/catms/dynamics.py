@@ -1,19 +1,25 @@
 """Time integration of Schrödinger and Lindblad dynamics.
 
-evolve_state and evolve_density integrate with SciPy's adaptive embedded
-Runge-Kutta (RK45). A Hamiltonian is a CSR matrix or a term list
-[(H_k, f_k), …] of CSR matrices and scalar functions of t. States are NumPy
-arrays: evolve_state takes and returns a state vector, evolve_density a dense
-density matrix, each at the end of the span.
+A Hamiltonian is a CSR matrix (static) or a term list [(H_k, f_k), …] of CSR
+matrices and scalar functions of t. States are NumPy arrays: evolve_state
+takes and returns a state vector, evolve_density a dense density matrix, each
+at the end of the span.
+
+Static and time-dependent generators take different paths:
+- A static generator is propagated exactly. expm_apply applies exp(−iH·dt)
+  to a vector or a block of columns, and _lindblad_series applies exp(𝓛·dt)
+  to a density matrix; both sum the Chebyshev (Jacobi–Anger) series of one
+  kernel, _chebyshev_series. evolve_density sends a bare CSR matrix to
+  _lindblad_series. The gate runner propagates a coherent full-mode gate with
+  expm_apply and every segment of a dissipative gate with evolve_density. A
+  coherent effective-mode gate needs neither: its generator commutes with
+  S_x, so gates.sx_block_columns propagates it as N+1 small bus blocks.
+- A term list (the cat-prep ramp) is integrated by SciPy's adaptive RK45,
+  under IntegratorSettings: evolve_state for a pure state, evolve_density for
+  a lossy ramp.
+Both Lindblad paths apply 𝓛 in the same left-products form (_left_products).
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
-
-For piecewise-constant Hermitian generators there is also an exact
-propagator: expm_apply applies each segment's exponential to a vector or to a
-block of columns by its Chebyshev expansion. The gate runner propagates the
-computational basis of a coherent full-mode gate with it. A coherent
-effective-mode gate does not use it: its generator commutes with S_x, so
-gates.sx_block_columns propagates it as N+1 small bus blocks.
 """
 from __future__ import annotations
 
@@ -97,34 +103,34 @@ def evolve_state(h, psi0: np.ndarray, t_span,
 def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
                    settings: IntegratorSettings | None = None,
                    check_positivity: bool | None = None) -> np.ndarray:
-    """Integrate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
+    """Propagate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
 
-    rho0 is a dense square matrix; returns ρ at the end of t_span, made
-    Hermitian. h is a CSR matrix or a term list (see _terms), and each
-    collapse channel contributes ch.rate·D[o] with o = ch.op.matrix. A trace
-    drift above 1e-6 is warned about; a result with an eigenvalue below −1e-6
-    raises ToleranceBreach (checked by default up to dimension 256).
+    rho0 is a dense Hermitian matrix; returns ρ at the end of t_span, made
+    Hermitian. Each collapse channel contributes ch.rate·D[o] with
+    o = ch.op.matrix. A static h (a CSR matrix) is propagated exactly, by the
+    Chebyshev series of exp(𝓛·dt) (_lindblad_series); a term list (see _terms)
+    is integrated by RK45 under `settings`, which only term lists read. A
+    trace drift above 1e-6 is warned about; a result with an eigenvalue below
+    −1e-6 raises ToleranceBreach (checked by default up to dimension 256).
     """
-    settings = settings or IntegratorSettings()
-    terms = _terms(h)
     dim = rho0.shape[0]
+    rho0 = np.asarray(rho0, dtype=complex)
+    if sp.issparse(h):
+        m = _lindblad_series(h, collapse_channels, rho0, float(t_span[1]) - float(t_span[0]))
+    else:
+        terms = _terms(h)
+        decay, finish = _left_products(collapse_channels, 1.0, dim)
+        terms.append((decay, None))
 
-    ops = []
-    for ch in collapse_channels:
-        o = ch.op.matrix
-        od = o.conj().T
-        ops.append((ch.rate, o, od.tocsr(), (od @ o).tocsr()))
+        def rhs(t, y):
+            rho = y.reshape(dim, dim)
+            p = _term_sum(terms, t, lambda m: m @ rho)
+            p *= -1j
+            return finish(p, rho).ravel()
 
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        out = -1j * _term_sum(terms, t, lambda m: m @ rho - rho @ m)
-        for rate, o, od, oo in ops:
-            out += rate * ((o @ rho) @ od - 0.5 * (oo @ rho + rho @ oo))
-        return out.ravel()
-
-    v = _integrate(rhs, rho0.ravel(), t_span, settings,
-                   time_dependent=any(f is not None for _, f in terms))
-    m = v.reshape(dim, dim)
+        v = _integrate(rhs, rho0.ravel(), t_span, settings or IntegratorSettings(),
+                       time_dependent=any(f is not None for _, f in terms))
+        m = v.reshape(dim, dim)
     rho = (m + m.conj().T) / 2  # enforce Hermiticity
     tr_drift = abs(np.trace(rho) - 1.0)
     if tr_drift > 1e-6:
@@ -138,6 +144,41 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
     return rho
 
 
+def _left_products(collapse_channels, scale: float, dim: int):
+    """The channel terms of scale·𝓛 in left-products form, for Hermitian ρ.
+
+    With H_eff = H − (i/2)Σ r_k o_k†o_k and X = H_eff·ρ,
+
+        𝓛ρ = −iX + (−iX)† + Σ r_k o_k(o_kρ)†,
+
+    which needs no product ρ·o from the right. The form is right only for a
+    Hermitian ρ, where (o_kρ)† = ρo_k†. Returns (decay, finish): decay is the
+    CSR matrix −(i/2)Σ r_k o_k†o_k, the anti-Hermitian part of H_eff, and
+    finish(p, rho) takes p = −i·scale·X (a fresh array it may overwrite) and
+    returns scale·𝓛ρ. It adds the jump terms as P = p + Σ (scale·r_k/2)·
+    o_k(o_kρ)† and returns P + P†, so the jump terms come out symmetrised and
+    the result is Hermitian to the last bit. Both integrators feed each result
+    back into the map, so it keeps getting the Hermitian input it needs.
+    """
+    decay = sp.csr_matrix((dim, dim), dtype=complex)
+    jumps = []
+    for ch in collapse_channels:
+        o = ch.op.matrix
+        decay = decay + (-0.5j * ch.rate) * (o.conj().T @ o)
+        jumps.append((np.sqrt(scale * ch.rate / 2) * o).tocsr())
+    tmp = np.empty((dim, dim), dtype=complex)
+
+    def finish(p, rho):
+        for o in jumps:
+            np.conjugate((o @ rho).T, out=tmp)
+            p += o @ tmp
+        np.conjugate(p.T, out=tmp)
+        p += tmp
+        return p
+
+    return decay.tocsr(), finish
+
+
 def _integrate(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: bool):
     """y(t1) by RK45, read from the dense output at t1.
 
@@ -146,8 +187,8 @@ def _integrate(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: bo
     and once that block is freed glibc's malloc raises its mmap threshold, so
     the n-entry temporaries of every later step are reused from the heap
     instead of being mapped afresh. With t_eval=[t1] alone, a dim-160 Lindblad
-    gate (n = 25,600) took 1.9× as long on a 2-vCPU x86-64 Linux host, with
-    1.09 M minor page faults instead of 26 K.
+    gate (n = 25,600), when gates still ran under RK45, took 1.9× as long on a
+    2-vCPU x86-64 Linux host, with 1.09 M minor page faults instead of 26 K.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     # a static generator needs no step cap; a time-dependent one must not
@@ -182,23 +223,70 @@ def _rk4_integrate(rhs, y0, t0, t1, dt):
 
 
 _CHEBYSHEV_TAIL = 1e-16
-"""The expansion stops at the first order k > w·dt with |J_k(w·dt)| below this."""
+"""The series stops at the first order k > z whose bound on its term is below this."""
 
 
-def _chebyshev_coefficients(z: float) -> np.ndarray:
-    """(2 − δ_k0)(−i)^k J_k(z) for k = 0, 1, … up to the stop order, excluded.
+def _chebyshev_series(two_x, y0: np.ndarray, z: float, margin: float = 0.0,
+                      bound: float = 1.0, phase: complex = 1.0,
+                      real: bool = False) -> np.ndarray:
+    """phase·exp(−izX)·y0 by the Jacobi–Anger expansion, from the map two_x.
 
-    The stop order is the first k > z with |J_k(z)| < _CHEBYSHEV_TAIL, or 2 if
-    that is smaller. Past k ≈ z, J_k(z) falls off in an Airy tail of width
-    ~z^(1/3), and the stop order lies below z + 12·z^(1/3) + 40 (from z + 1 at
-    z = 0 to z + 10.3·z^(1/3) at z = 1e5), so the orders up to there suffice.
+    exp(−izX) = Σ_k (2 − δ_k0)(−i)^k J_k(z) T_k(X) (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)), with T_k(X)·y0 from the three-term
+    recurrence, one application of two_x each, in one of two forms:
+    - real=False: two_x applies 2X, the terms are T_k(X)·y0 and
+      T_{k+1} = 2X·T_k − T_{k−1};
+    - real=True, for X = iB: two_x applies 2B, the terms are
+      S_k = (−i)^k T_k(X)·y0 and S_{k+1} = 2B·S_k + S_{k−1}. The powers of −i
+      leave the coefficients, which are then the real (2 − δ_k0)J_k(z), so a
+      B that maps Hermitian matrices to Hermitian ones gives Hermitian terms
+      and a Hermitian sum.
+
+    The truncation error after N terms is at most Σ_{k≥N} 2|J_k(z)|·‖T_k(X)‖
+    ·‖y0‖. The caller bounds ‖T_k(X)‖ ≤ bound·e^{margin·k} (bound 1 and
+    margin 0 when X is Hermitian with its spectrum in [−1, 1]), and the sum
+    stops at the first order N > z with bound·|J_N(z)|·e^{margin·N} below
+    _CHEBYSHEV_TAIL, or at 2 if that is smaller. Past k ≈ z, J_k(z) falls off
+    faster than any geometric sequence, so the neglected tail is of the size
+    of its first term. The orders are searched up to z + 12·z^(1/3) + 40
+    first, which holds the stop order of a Hermitian X up to z = 1e5 at least,
+    and then in ranges twice as long until it is found.
+
+    two_x must return a fresh array: the loop adds to it in place.
     """
-    k = np.arange(int(z + 12 * np.cbrt(z)) + 40)
-    jk = jv(k, z)
-    stop = np.flatnonzero((k > z) & (np.abs(jk) < _CHEBYSHEV_TAIL))[0]
-    coef = 2 * np.array([1, -1j, -1, 1j])[k % 4] * jk  # (−i)^k exactly
+    n = int(z + 12 * np.cbrt(z)) + 40
+    while True:
+        k = np.arange(n)
+        jk = jv(k, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = bound * np.abs(jk) * np.exp(margin * k)
+        hits = np.flatnonzero((k > z) & (term < _CHEBYSHEV_TAIL))
+        if hits.size:
+            break
+        n *= 2
+    k = k[:max(hits[0], 2)]
+    rot = 1 if real else np.array([1, -1j, -1, 1j])[k % 4]  # (−i)^k exactly
+    coef = 2 * rot * jk[k]
     coef[0] /= 2
-    return coef[:max(stop, 2)]
+    coef = phase * coef
+    prev, cur = y0, 0.5 * two_x(y0)
+    out = coef[0] * prev + coef[1] * cur
+    for ck in coef[2:]:
+        nxt = two_x(cur)
+        if real:
+            nxt += prev
+        else:
+            nxt -= prev
+        prev, cur = cur, nxt
+        out += ck * cur
+    return out
+
+
+def _gershgorin(h) -> tuple[float, float]:
+    """(lo, hi): an interval that holds the spectrum of the Hermitian matrix h."""
+    d = h.diagonal().real
+    r = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
+    return (d - r).min(), (d + r).max()
 
 
 def expm_apply(h, block: np.ndarray, dt: float) -> np.ndarray:
@@ -209,31 +297,84 @@ def expm_apply(h, block: np.ndarray, dt: float) -> np.ndarray:
     [c − w, c + w] that contains it, and with H̃ = (H − c)/w, whose spectrum
     lies in [−1, 1],
 
-        exp(-i H dt) = e^{-icdt} Σ_k (2 − δ_k0)(−i)^k J_k(w·dt) T_k(H̃)
+        exp(-i H dt) = e^{-icdt} exp(−i·w·dt·H̃),
 
-    (the Jacobi–Anger expansion; Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-    (1984)). The T_k(H̃)·block come from the three-term recurrence T_{k+1} =
-    2H̃T_k − T_{k−1}, one sparse product each; about w·dt + 11(w·dt)^(1/3)
-    of them are needed (see _chebyshev_coefficients).
+    which _chebyshev_series sums with margin 0: one sparse product by 2H̃
+    per order, and about w·dt + 11(w·dt)^(1/3) orders.
     """
     block = np.asarray(block, dtype=complex)
-    d = h.diagonal().real
-    r = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
-    lo, hi = (d - r).min(), (d + r).max()
+    lo, hi = _gershgorin(h)
     c, w = (hi + lo) / 2, (hi - lo) / 2
     phase = np.exp(-1j * c * dt)
     if w == 0:  # H = c·I
         return phase * block
-    coef = phase * _chebyshev_coefficients(w * dt)
     two_h = (2 / w) * (h - c * sp.identity(h.shape[0], format="csr"))  # 2H̃
-    prev, cur = block, 0.5 * (two_h @ block)
-    out = coef[0] * prev + coef[1] * cur
-    for ck in coef[2:]:
-        nxt = two_h @ cur
-        nxt -= prev
-        prev, cur = cur, nxt
-        out += ck * cur
-    return out
+    return _chebyshev_series(two_h.__matmul__, block, w * dt, phase=phase)
+
+
+def _lindblad_series(h, collapse_channels, rho0: np.ndarray, dt: float) -> np.ndarray:
+    """exp(𝓛·dt)·ρ0 for a static Lindbladian, by its Chebyshev series.
+
+    h is a Hermitian CSR matrix, rho0 a dense Hermitian matrix, and the
+    channels are those of evolve_density. 𝓛 is applied in left-products form
+    (_left_products), and _chebyshev_series sums exp(z·B) = exp(−izX) with
+    B = 𝓛/w, X = iB and z = w·dt, in its real form. Its terms S_k are real
+    polynomials in 𝓛 applied to ρ0, so they are Hermitian, as the
+    left-products form needs.
+
+    Interval, margin and bound. Take norms on the matrices under the
+    Frobenius inner product, and two numbers:
+    - W = hi − lo of H's Gershgorin interval. The eigenvalues of H lie in
+      [lo, hi], so the commutator [H, ·], a Hermitian superoperator, has its
+      spectrum {λ_i − λ_j} in [−W, W].
+    - G = Σ r_k‖o_k†o_k‖_∞ (the largest row sum, which bounds the spectral
+      norm of the Hermitian o_k†o_k). ρ ↦ oρo† and ρ ↦ {o†o, ρ}/2 both have
+      norm at most ‖o†o‖, so the dissipator 𝓓 = 𝓛 + i[H, ·] has ‖𝓓‖ ≤ 2G.
+    Then X = iB = Y + Δ, with Y = [H, ·]/w Hermitian and its spectrum in
+    [−a, a], a = W/w, and ‖Δ‖ = ‖𝓓‖/w ≤ δ = 2G/w. Let w = W + 4G, so that
+    a + 2δ = 1. The Bernstein ellipse E_η (foci ±1, semi-axes cosh η and
+    sinh η) lies at least sinh η·√(1 − a²) from [−a, a] (the distance from
+    the end a, the nearest point of the segment, while a·cosh η ≤ 1, and a
+    lower bound on it beyond), and the margin η = asinh(2δ/√(1 − a²)) makes
+    that 2δ. On E_η, ‖(ζ − X)^{-1}‖ ≤ 1/(2δ − δ) (a Neumann series about the
+    Hermitian Y) and |T_k(ζ)| ≤ cosh(kη), and E_η is at most 2π·cosh η long.
+    The Cauchy integral T_k(X) = (2πi)^{-1}∮ T_k(ζ)(ζ − X)^{-1}dζ over E_η
+    then gives ‖T_k(X)‖ ≤ bound·e^{kη} with bound = cosh(η)/δ.
+
+    Sub-steps. The bound lets the terms grow as e^{ηk} before they cancel,
+    and that growth is real for components of ρ near the ends of [H, ·]'s
+    spectrum: rounding in the sum scales with it. dt is split into the
+    fewest equal sub-steps with η·z ≤ ln 100 each, so e^{ηk} stays near 100
+    or below over the orders k ≲ z where |J_k(z)| is not yet negligible.
+    The prefactor bound, about w/(2G), is the price of the contour's
+    closeness to the spectrum, not a growth, and adds a few orders only.
+
+    With no channels (G = 0), X = Y: margin 0, bound 1 and one step, as in
+    expm_apply; when 𝓛 = 0 as well, ρ0 is returned.
+    """
+    dim = rho0.shape[0]
+    lo, hi = _gershgorin(h)
+    g = sum(ch.rate * abs(ch.op.matrix.conj().T @ ch.op.matrix).sum(axis=1).max()
+            for ch in collapse_channels)
+    w = (hi - lo) + 4 * g
+    if w == 0:  # H = c·I and no channels: 𝓛 = 0
+        return rho0.copy()
+    margin, bound = 0.0, 1.0
+    if g > 0:
+        a, delta = (hi - lo) / w, 2 * g / w
+        margin = np.arcsinh(2 * delta / np.sqrt(1 - a * a))
+        bound = np.cosh(margin) / delta
+    n_sub = max(1, int(np.ceil(margin * w * dt / np.log(100))))
+    decay, finish = _left_products(collapse_channels, 2 / w, dim)
+    k_eff = ((-2j / w) * (h + decay)).tocsr()  # −(2i/w)·H_eff
+
+    def two_b(s):
+        return finish(k_eff @ s, s)
+
+    rho = rho0
+    for _ in range(n_sub):
+        rho = _chebyshev_series(two_b, rho, w * dt / n_sub, margin, bound, real=True)
+    return rho
 
 
 def propagate_piecewise(segments, block: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from math import prod
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import IntegratorSettings, evolve_density, propagate_piecewise
+from .dynamics import evolve_density, propagate_piecewise
 from .hilbert import SparseOperator, annihilation, number_op, tensor_embed
 from .model import CollapseChannel, GateConfig, Schedule, h_kerr_single, kerr_level_isometry
 from .states import CatParity, basis_state, fidelity, single_mode_cat_vector
@@ -411,10 +411,8 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         input_state = 0 if input_state is None else input_state
         v = model.basis_vector(input_state)
         rho = np.outer(v, v.conj())
-        settings = IntegratorSettings(rtol=1e-7, atol=1e-9)
         for h, dt in model.generators(schedule):
-            rho = evolve_density(h, model.channels, rho, (0.0, dt), settings,
-                                 check_positivity=False)
+            rho = evolve_density(h, model.channels, rho, (0.0, dt), check_positivity=False)
         state = (unrotate[:, None] * rho) * unrotate.conj()[None, :]
         result.bus_top = float(np.trace(state[-rest:, -rest:]).real)
     result.f_out = output_fidelity(state, model, input_state)

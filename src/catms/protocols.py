@@ -262,8 +262,10 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
 
     Without the Josephson term the Hamiltonian is static and a single matrix
     exponential suffices. With it, the explicitly oscillating displacement
-    drive cos[φ_a(a e^{−iω_c t} + a† e^{iω_c t})] (φ_a = 2α) is integrated by
-    fixed-step RK4 with the step derated to the carrier frequency ω_c.
+    drive cos[φ_a(a e^{−iω_c t} + a† e^{iω_c t})] (φ_a = 2α) makes H(t)
+    periodic with T = 2π/ω_c. Fixed-step RK4, n_steps_per_cycle steps per
+    period, integrates the propagator over one period and over the remainder
+    r = t − nT, and U(t) = U(r)·U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).
     """
     alpha = float(np.sqrt(omega_p / kerr))
     a = annihilation((dim,), 0)
@@ -301,8 +303,14 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
             add = rot[:, None] * (cos_x @ (rot.conj()[:, None] * y))
             return -1j * (h0 @ y + xi_j * add)
 
-        dt = 2.0 * np.pi / (omega_c * n_steps_per_cycle)
-        cols = _rk4_integrate(rhs, basis, 0.0, t_gate, dt)
+        period = 2.0 * np.pi / omega_c
+        dt = period / n_steps_per_cycle
+        n_periods, rest = divmod(t_gate, period)
+        eye = np.eye(dim, dtype=complex)
+        u = np.linalg.matrix_power(_rk4_integrate(rhs, eye, 0.0, period, dt), int(n_periods))
+        if rest > 0:
+            u = _rk4_integrate(rhs, eye, 0.0, rest, dt) @ u
+        cols = u @ basis
 
     dtilde, omega_1, phi = effective_single_qubit(params, alpha)
     xi, theta_rot = rotation_parameters(dtilde, omega_1)

@@ -98,7 +98,9 @@ def test_exit_code_on_config_error(tmp_path, capsys):
              _single_mode_doc("single_qubit", {"dim": 1}),
              _single_mode_doc("single_qubit", grid={"target": ["cnot"]}),
              _single_mode_doc("single_qubit", grid={"t_gate": [-0.5]}),
-             _single_mode_doc("single_qubit", {"kerr": -1.0})]
+             _single_mode_doc("single_qubit", {"kerr": -1.0}),
+             _single_mode_doc("single_qubit", {"use_h_add": "false"}),
+             _single_mode_doc("single_qubit", grid={"use_h_add": [0]})]
     # gate recipes whose point cannot be resolved into a (config, schedule) pair
     docs += [_base_doc(kind="switch_demo", grid={"eps_a": [1.5]}),
              _base_doc(kind="switch_demo", grid={"eps_a": [0.05]}, switch={"m_after": 3}),
@@ -110,6 +112,8 @@ def test_exit_code_on_config_error(tmp_path, capsys):
              _base_doc(grid={"n_qubits": [2.5]}),
              _base_doc(config={**_base_doc()["config"], "bus_dim": 8.9}),
              _base_doc(seed="seven"),
+             _base_doc(config={**_base_doc()["config"],
+                               "kerr": {"value": 5.0, "two_pi": "false"}}),
              _base_doc(resource_ceiling_bytes="lots")]
     for doc in docs:
         p = _write(tmp_path, doc)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from catms.dynamics import (
     IntegratorSettings,
     ToleranceBreach,
+    _lindblad_series,
     _rk4_integrate,
     evolve_density,
     evolve_state,
@@ -13,7 +14,7 @@ from catms.dynamics import (
     propagate_piecewise,
 )
 from catms.hilbert import SparseOperator, annihilation, number_op
-from catms.model import CollapseChannel
+from catms.model import CollapseChannel, h_kerr_single
 
 
 def _two_level_rabi():
@@ -210,3 +211,71 @@ def test_evolve_state_warns_on_norm_drift():
     with pytest.warns(UserWarning, match="norm drifted"):
         psi = evolve_state(h, psi0, (0.0, 1.0))
     assert np.linalg.norm(psi) == pytest.approx(np.exp(-0.5), rel=1e-6)
+
+
+def _dense_lindblad_step(h, channels, rho0, dt):
+    """exp(𝓛dt)ρ0 from the dense superoperator on the row-major vec(ρ)."""
+    dim = h.shape[0]
+    eye = np.eye(dim)
+    hd = h.toarray()
+    sup = -1j * (np.kron(hd, eye) - np.kron(eye, hd.T))
+    for ch in channels:
+        o = ch.op.matrix.toarray()
+        oo = o.conj().T @ o
+        sup += ch.rate * (np.kron(o, o.conj()) - 0.5 * np.kron(oo, eye) - 0.5 * np.kron(eye, oo.T))
+    return (scipy.linalg.expm(sup * dt) @ rho0.ravel()).reshape(dim, dim)
+
+
+def _lindblad_models():
+    """(name, H, channels, dt) on 8 levels: H = 0, weak and strong damping, G ≫ W."""
+    dim = 8
+    a, n = annihilation((dim,), 0), number_op((dim,), 0)
+    kerr_drive = (h_kerr_single(1.0, 2.0, dim) + 0.3 * (a + a.conj().T)).tocsr()
+
+    def chans(*pairs):
+        return [CollapseChannel(r, SparseOperator(o)) for r, o in pairs]
+
+    return [("H = 0, loss 0.7", sp.csr_matrix((dim, dim), dtype=complex), chans((0.7, a)), 0.9),
+            ("Kerr + drive, 0.1/0.05", kerr_drive, chans((0.1, a), (0.05, n)), 0.9),
+            ("Kerr + drive, 31/5", kerr_drive, chans((31.0, a), (5.0, n)), 0.2),
+            ("weak H, dephasing 3", 0.01 * kerr_drive, chans((3.0, n)), 0.9)]
+
+
+def _mixed_state(dim, seed=3):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def test_lindblad_series_matches_dense_superoperator():
+    rho0 = _mixed_state(8)
+    for name, h, channels, dt in _lindblad_models():
+        rho = _lindblad_series(h, channels, rho0, dt)
+        assert np.abs(rho - _dense_lindblad_step(h, channels, rho0, dt)).max() < 1e-12, name
+        assert np.abs(rho - rho.conj().T).max() < 1e-14, name
+        assert abs(np.trace(rho) - 1.0) < 1e-13, name
+
+
+def test_lindblad_series_does_not_depend_on_the_split():
+    # one span against its halves and quarters, each half or quarter with its own sub-steps
+    rho0 = _mixed_state(8)
+    for name, h, channels, dt in _lindblad_models():
+        whole = _lindblad_series(h, channels, rho0, dt)
+        for parts in (2, 4):
+            rho = rho0
+            for _ in range(parts):
+                rho = _lindblad_series(h, channels, rho, dt / parts)
+            assert np.abs(rho - whole).max() < 1e-13, (name, parts)
+
+
+def test_evolve_density_term_list_uses_the_same_lindbladian():
+    # a term list goes through RK45 with the left-products right-hand side;
+    # a static generator written as one goes the same way as the series
+    name, h, channels, dt = _lindblad_models()[1]
+    rho0 = _mixed_state(8)
+    exact = evolve_density(h, channels, rho0, (0.0, dt))
+    rk45 = evolve_density([(h, None)], channels, rho0, (0.0, dt),
+                          IntegratorSettings(rtol=1e-10, atol=1e-12))
+    assert np.abs(rk45 - exact).max() < 1e-8

@@ -118,3 +118,32 @@ def test_not_gate_full_simulation():
 def test_ramp_margin_positive():
     s = protocols.CatPrepSchedule(t0=2.0, alpha=2.0)
     assert protocols.ramp_margin(1.0, s) > 0.0
+
+
+def test_josephson_period_propagator_matches_continuous_rk4():
+    # U(t) = U(r)·U(T)^n against one RK4 run over [0, t] on the same step grid,
+    # at t = 2.5 carrier periods
+    from catms.dynamics import _rk4_integrate
+    from catms.hilbert import annihilation
+
+    kerr, alpha, dim, omega_c, steps = 1.0, 1.5, 16, 200.0, 320
+    params = protocols.design_single_qubit_drive("hadamard", alpha, 0.5, use_h_add=True)
+    t = 2.5 * 2 * np.pi / omega_c
+    res = protocols.run_single_qubit_gate(kerr, kerr * alpha**2, params, use_h_add=True,
+                                          t_gate=t, omega_c=omega_c, dim=dim,
+                                          n_steps_per_cycle=steps)
+    a = annihilation((dim,), 0)
+    h0 = h_kerr_single(kerr, kerr * alpha**2, dim)
+    h0 = h0 + params.xi_p * a + np.conj(params.xi_p) * a.conj().T
+    w, v = np.linalg.eigh(2 * alpha * (a + a.conj().T).toarray())
+    cos_x = (v * np.cos(w)) @ v.conj().T
+    n = np.arange(dim)
+
+    def rhs(s, y):
+        rot = np.exp(1j * omega_c * s * n)
+        return -1j * (h0 @ y + params.xi_j * (rot[:, None] * (cos_x @ (rot.conj()[:, None] * y))))
+
+    basis = np.stack([single_mode_cat_vector(dim, alpha, CatParity.ODD),
+                      single_mode_cat_vector(dim, alpha, CatParity.EVEN)], axis=1)
+    cols = _rk4_integrate(rhs, basis, 0.0, t, 2 * np.pi / (omega_c * steps))
+    assert np.abs(res.propagator - basis.conj().T @ cols).max() < 1e-10
