@@ -48,13 +48,18 @@ included, on the dim-80 effective fig4_output_fidelity point at N = 2, and
 8.7 × on the dim-160 Kerr-level point of fig2a_bus_decoherence (kpo_levels
 4, bus_rate 0.1).
 """
-RAMP_WORKING_SET = 25
-"""Peak working set of the lossy cat-prep ramp, which runs under RK45, in copies of ρ.
+RAMP_WORKING_SET = 19
+"""Peak working set of the lossy cat-prep ramp, in copies of ρ.
 
-SciPy's RK45 holds 14 copies (7 stage rows, y, y_old, y_new, f, f_new, dy
-and y + dy), the dense output of the last step 4, the t_eval outputs 2 to 4
-and the Lindblad right-hand side 3 or 4, so 23 to 26 in all. tracemalloc
-measured 22.5 to 24.2 copies when the gates still ran under RK45.
+The ramp runs under dynamics.solve_ivp, which holds 9.5 copies throughout
+(7 stage rows, y, f and half a copy for the error scale) and 3 more during
+a step (the stage input y + dy, and y_new and f_new, which stay bound while
+a rejected step is retried). The caller holds ρ0, and the Lindblad
+right-hand side its conjugate-transpose buffer and up to 3 temporaries, so
+17.5 in all. tracemalloc measured peaks of 18.3 × one copy over a whole
+run_cat_prep (K = 1, α = 2, t0 = 1.7, κ = γ = 0.02) at dim 30, 18.1 × at
+dim 60 and 17.8 × at dim 90; the rest is the sparse operators and small
+objects.
 """
 
 _GATE_KEYS = frozenset({"n_qubits", "kerr", "alpha", "omega_p", "j_coupling", "delta",
@@ -75,7 +80,7 @@ every kind, since it fills the `seed` column."""
 KINDS = tuple(GRID_KEYS)
 
 METRIC_COLUMNS = ("t_g", "f_avg", "f_out", "p_c", "chi_residual", "beta_total",
-                  "bus_top", "runtime_s", "seed", "error")
+                  "bus_top", "josephson_trunc", "runtime_s", "seed", "error")
 
 
 class ConfigError(ValueError):
@@ -272,7 +277,8 @@ def estimate_resources(spec: ExperimentSpec) -> ResourceEstimate:
     bytes_required counts one copy of the state. `run` compares the working
     set of a density run, `copies` copies of it, with the ceiling: the
     DENSITY_WORKING_SET of the Chebyshev series for a gate, the
-    RAMP_WORKING_SET of RK45 for the lossy cat-prep ramp.
+    RAMP_WORKING_SET of the Dormand–Prince stepper for the lossy cat-prep
+    ramp.
     """
     if spec.kind == "cat_prep":
         args = _cat_prep_args(spec, {})
@@ -435,6 +441,8 @@ def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
         res = protocols.run_single_qubit_gate(**args)
         rec["t_g"] = args["t_gate"]
         rec["f_avg"] = res.fidelity
+        if res.josephson_trunc is not None:
+            rec["josephson_trunc"] = res.josephson_trunc
     else:
         cfg, sched = _gate_run(spec, point)
         _gate_metrics(rec, gates.run_gate(cfg, schedule=sched, mode=spec.mode))

@@ -14,9 +14,9 @@ Static and time-dependent generators take different paths:
   expm_apply and every segment of a dissipative gate with evolve_density. A
   coherent effective-mode gate needs neither: its generator commutes with
   S_x, so gates.sx_block_columns propagates it as N+1 small bus blocks.
-- A term list (the cat-prep ramp) is integrated by SciPy's adaptive RK45,
-  under IntegratorSettings: evolve_state for a pure state, evolve_density for
-  a lossy ramp.
+- A term list (the cat-prep ramp) is integrated by Dormand–Prince 5(4),
+  SciPy's RK45 rules, in `dynamics` (solve_ivp), under IntegratorSettings:
+  evolve_state for a pure state, evolve_density for a lossy ramp.
 Both Lindblad paths apply 𝓛 in the same left-products form (_left_products).
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.special import jv
 
 
@@ -42,7 +41,7 @@ class StiffSegment(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Tolerances of the adaptive RK45 integrator.
+    """Tolerances of the adaptive integrator, solve_ivp.
 
     The step cap is derived, not set: span/1000 for a time-dependent
     generator and none for a static one.
@@ -92,8 +91,8 @@ def evolve_state(h, psi0: np.ndarray, t_span,
     def rhs(t, y):
         return -1j * _term_sum(terms, t, lambda m: m @ y)
 
-    v = _integrate(rhs, psi0, t_span, settings,
-                   time_dependent=any(f is not None for _, f in terms))
+    v = solve_ivp(rhs, psi0, t_span, settings,
+                  time_dependent=any(f is not None for _, f in terms))
     drift = abs(np.linalg.norm(v) - 1.0)
     if drift > 1e-6:
         warnings.warn(f"state norm drifted by {drift:.2e}; tighten tolerances", stacklevel=2)
@@ -109,7 +108,7 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
     Hermitian. Each collapse channel contributes ch.rate·D[o] with
     o = ch.op.matrix. A static h (a CSR matrix) is propagated exactly, by the
     Chebyshev series of exp(𝓛·dt) (_lindblad_series); a term list (see _terms)
-    is integrated by RK45 under `settings`, which only term lists read. A
+    is integrated by solve_ivp under `settings`, which only term lists read. A
     trace drift above 1e-6 is warned about; a result with an eigenvalue below
     −1e-6 raises ToleranceBreach (checked by default up to dimension 256).
     """
@@ -128,8 +127,8 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
             p *= -1j
             return finish(p, rho).ravel()
 
-        v = _integrate(rhs, rho0.ravel(), t_span, settings or IntegratorSettings(),
-                       time_dependent=any(f is not None for _, f in terms))
+        v = solve_ivp(rhs, rho0.ravel(), t_span, settings or IntegratorSettings(),
+                      time_dependent=any(f is not None for _, f in terms))
         m = v.reshape(dim, dim)
     rho = (m + m.conj().T) / 2  # enforce Hermiticity
     tr_drift = abs(np.trace(rho) - 1.0)
@@ -179,28 +178,96 @@ def _left_products(collapse_channels, scale: float, dim: int):
     return decay.tocsr(), finish
 
 
-def _integrate(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: bool):
-    """y(t1) by RK45, read from the dense output at t1.
+# Dormand–Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)):
+# nodes, stage weights, fifth-order weights, and E = fourth- minus fifth-order
+# weights over the seven stages, the last of which is f at the new point.
+# These are the coefficients of SciPy's RK45.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 
-    t_eval also asks for t0, which is dropped. That is for speed, not
-    accuracy: it builds the dense output of the first step (an n×4 array),
-    and once that block is freed glibc's malloc raises its mmap threshold, so
-    the n-entry temporaries of every later step are reused from the heap
-    instead of being mapped afresh. With t_eval=[t1] alone, a dim-160 Lindblad
-    gate (n = 25,600), when gates still ran under RK45, took 1.9× as long on a
-    2-vCPU x86-64 Linux host, with 1.09 M minor page faults instead of 26 K.
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0, y0, f0, t1, max_step, rtol, atol) -> float:
+    """The first step of Hairer, Nørsett & Wanner (Solving ODEs I, Sec. II.4), for order 4."""
+    span = t1 - t0
+    if span == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _rms((rhs(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span, max_step)
+
+
+def solve_ivp(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: bool):
+    """y(t1) by the Dormand–Prince 5(4) pair with SciPy RK45's step-size rules.
+
+    The rules, and so the steps, are those of SciPy's RK45: the error of a
+    step is the RMS norm of its estimate over atol + max(|y|, |y_new|)·rtol;
+    a step is accepted when that is below 1, and the next step is the last
+    one times 0.9·err^(−1/5), held in [0.2, 10] and at most 1 after a
+    rejection; the first step comes from _initial_step. A step below 10 ulp
+    of t raises StiffSegment, as does a right-hand side that returns NaN.
+    y(t1) is the end point of the last step; SciPy's solve_ivp reads it from
+    its dense output instead, so the two agree to rounding.
+
+    The name is SciPy's because the benchmark's tracer (bench/tracer.py)
+    rebinds dynamics.solve_ivp to count the calls of its first argument, the
+    right-hand side; a rename has to change the tracer with it.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t, t1 = float(t_span[0]), float(t_span[1])
+    if t1 < t:
+        raise ValueError("t_span must not run backwards")
+    rtol, atol = settings.rtol, settings.atol
     # a static generator needs no step cap; a time-dependent one must not
     # skate over features of H(t)
-    max_step = max((t1 - t0) / 1000.0, 1e-12) if time_dependent else np.inf
-    sol = solve_ivp(
-        rhs, (t0, t1), np.asarray(y0, dtype=complex), method="RK45",
-        t_eval=[t0, t1], rtol=settings.rtol, atol=settings.atol, max_step=max_step,
-    )
-    if not sol.success:
-        raise StiffSegment(f"adaptive integrator failed: {sol.message}")
-    return sol.y[:, -1].copy()
+    max_step = max((t1 - t) / 1000.0, 1e-12) if time_dependent else np.inf
+    y = np.array(y0, dtype=complex)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t1, max_step, rtol, atol)
+    k = np.empty((7, y.size), dtype=complex)
+    while t < t1:
+        min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a NaN step
+                raise StiffSegment(f"step size fell below {min_step:.1e} at t = {t}")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = h
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = rhs(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:6].T, _DP_B)
+            f_new = k[6] = rhs(t_new, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(k.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)  # a NaN err gives 0.2
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
 
 
 def _rk4_integrate(rhs, y0, t0, t1, dt):

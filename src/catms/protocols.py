@@ -237,6 +237,9 @@ class SingleQubitResult:
     propagator: np.ndarray  # 2x2 in the (|C->, |C+>) ordering
     target: np.ndarray
     t_gate: float
+    # Josephson path only: the relative mismatch of the cat splitting of the
+    # truncated carrier average with josephson_splitting(α), a truncation witness
+    josephson_trunc: float | None = None
 
     @property
     def leakage(self) -> float:
@@ -266,6 +269,14 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     periodic with T = 2π/ω_c. Fixed-step RK4, n_steps_per_cycle steps per
     period, integrates the propagator over one period and over the remainder
     r = t − nT, and U(t) = U(r)·U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).
+
+    The Josephson path also reports josephson_trunc, |s/s_∞ − 1| for the
+    splitting s = Σ Ō_nn(|C+_n|² − |C−_n|²) of the truncated carrier average
+    Ō = diag cos(φ_a(a + a†)) between the truncated cats, and s_∞ =
+    josephson_splitting(α). A dim too small for α cuts off the Laguerre
+    tail of Ō_nn: at α = 3 it reads 0.74 at dim 40, where the gate misses
+    its rotation by 1 − F̄ = 0.26 with a leakage of only 4e-5, and 1e-9
+    at dim 80.
     """
     alpha = float(np.sqrt(omega_p / kerr))
     a = annihilation((dim,), 0)
@@ -283,6 +294,7 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
         axis=1,
     )
 
+    josephson_trunc = None
     if not use_h_add or params.xi_j == 0.0:
         u = scipy.linalg.expm(-1j * t_gate * h0.toarray())
         cols = u @ basis
@@ -311,10 +323,13 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
         if rest > 0:
             u = _rk4_integrate(rhs, eye, 0.0, rest, dt) @ u
         cols = u @ basis
+        pops = np.abs(basis) ** 2
+        split = cos_x.diagonal().real @ (pops[:, 1] - pops[:, 0])
+        josephson_trunc = abs(split / josephson_splitting(alpha) - 1.0)
 
     dtilde, omega_1, phi = effective_single_qubit(params, alpha)
     xi, theta_rot = rotation_parameters(dtilde, omega_1)
     target = u1_closed_form(xi, theta_rot, phi, t_gate)
     u = basis.conj().T @ cols
     return SingleQubitResult(average_gate_fidelity(target.conj().T @ u), u,
-                             target, t_gate)
+                             target, t_gate, josephson_trunc)

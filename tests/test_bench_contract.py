@@ -44,6 +44,23 @@ def test_traced_names_resolve():
     assert callable(dynamics._rk4_integrate)
 
 
+def test_cat_prep_right_hand_side_goes_through_solve_ivp(monkeypatch):
+    # the tracer counts dynamics.rhs.calls and run_cat_prep.rhs_calls by
+    # rebinding dynamics.solve_ivp and wrapping its first argument; a ramp
+    # that reached its right-hand side by another name would read 0
+    stepper, calls = dynamics.solve_ivp, [0]
+
+    def counting(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+        return stepper(counted, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    protocols.run_cat_prep(1.0, 1.0, 0.5, dim=8)
+    assert calls[0] > 0
+
+
 def test_hook_parameters_present():
     for (module, name), params in HOOK_PARAMETERS.items():
         signature = inspect.signature(getattr(module, name))

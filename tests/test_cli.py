@@ -392,6 +392,27 @@ def test_bus_top_flags_a_truncated_bus(tmp_path):
     assert float(rows[20]["bus_top"]) < 1e-10
 
 
+def test_josephson_trunc_flags_a_truncated_kpo(tmp_path):
+    # at α = 3 a 40-level KPO cuts off the carrier average of the Josephson
+    # drive: the corrected Hadamard misses its rotation by 1 − F̄ = 0.26 while
+    # leaking only 4e-5, and josephson_trunc must show it
+    recipe = Path(__file__).resolve().parents[1] / "configs" / "figs2_single_qubit.json"
+    doc = json.loads(recipe.read_text())
+    doc.update(output="out.csv", grid={"use_h_add": [False, True]})
+    doc["config"].update(alpha=3.0, t_gate=5.0, target="hadamard")
+    rows = {}
+    for dim in (40, 80):
+        doc["config"]["dim"] = dim
+        out = tmp_path / f"dim{dim}"
+        assert cli.run(str(_write(tmp_path, doc)), str(out)) == cli.EXIT_OK
+        with open(out / "out.csv", newline="") as fh:
+            plain, rows[dim] = csv.DictReader(fh)
+        assert plain["use_h_add"] == "False" and plain["josephson_trunc"] == ""
+    assert float(rows[80]["f_avg"]) - float(rows[40]["f_avg"]) > 0.1
+    assert float(rows[40]["josephson_trunc"]) > 0.1
+    assert float(rows[80]["josephson_trunc"]) < 1e-6
+
+
 def test_non_gate_rows_leave_bus_top_empty(tmp_path):
     doc = {"version": 1, "kind": "cat_prep", "output": "out.csv",
            "config": {"kerr": 1.0, "alpha": 1.0, "t0": 1.0, "dim": 12},
@@ -399,7 +420,7 @@ def test_non_gate_rows_leave_bus_top_empty(tmp_path):
     assert cli.run(str(_write(tmp_path, doc)), str(tmp_path / "out")) == cli.EXIT_OK
     with open(tmp_path / "out" / "out.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["f_out"] != "" and row["bus_top"] == ""
+    assert row["f_out"] != "" and row["bus_top"] == "" and row["josephson_trunc"] == ""
 
 
 def test_module_entry_point_runs_without_warnings():

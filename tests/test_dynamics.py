@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 
+from catms import dynamics, protocols
 from catms.dynamics import (
     IntegratorSettings,
+    StiffSegment,
     ToleranceBreach,
     _lindblad_series,
     _rk4_integrate,
@@ -279,3 +287,88 @@ def test_evolve_density_term_list_uses_the_same_lindbladian():
     rk45 = evolve_density([(h, None)], channels, rho0, (0.0, dt),
                           IntegratorSettings(rtol=1e-10, atol=1e-12))
     assert np.abs(rk45 - exact).max() < 1e-8
+
+
+def _scipy_rk45(rhs, y0, t_span, settings, time_dependent):
+    """dynamics.solve_ivp's problem under SciPy's RK45, y(t1) read from its dense output."""
+    t0, t1 = t_span
+    max_step = max((t1 - t0) / 1000.0, 1e-12) if time_dependent else np.inf
+    sol = scipy.integrate.solve_ivp(rhs, (t0, t1), y0, method="RK45", t_eval=[t1],
+                                    rtol=settings.rtol, atol=settings.atol, max_step=max_step)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+def _counted_runs(integrators, rhs, *args, **kwargs):
+    """(end point, right-hand-side calls) of each integrator on one problem."""
+    runs = []
+    for integrate in integrators:
+        n = [0]
+
+        def counted(t, y):
+            n[0] += 1
+            return rhs(t, y)
+
+        runs.append((integrate(counted, *args, **kwargs), n[0]))
+    return runs
+
+
+@pytest.mark.parametrize("ramp", [dict(initial_fock=0), dict(initial_fock=1),
+                                  dict(kappa=0.02, gamma=0.02)])
+def test_solve_ivp_takes_the_steps_of_scipy_rk45(monkeypatch, ramp):
+    # the figs1 ramp (K = 1, α = 2, t0 = 1.7, dim 30), pure and lossy: the
+    # same right-hand-side calls, and the same end point up to rounding
+    stepper, runs = dynamics.solve_ivp, []
+
+    def both(rhs, *args, **kwargs):
+        runs.append(_counted_runs((stepper, _scipy_rk45), rhs, *args, **kwargs))
+        return runs[-1][0][0]
+
+    monkeypatch.setattr(dynamics, "solve_ivp", both)
+    protocols.run_cat_prep(1.0, 2.0, 1.7, **ramp)
+    ((ours, n_ours), (ref, n_ref)), = runs
+    assert n_ours == n_ref > 1000
+    assert np.abs(ours - ref).max() < 1e-13
+
+
+def test_solve_ivp_controls_its_steps_as_scipy_rk45_does():
+    # the ramp's steps are set by the span/1000 cap; with no cap and a narrow
+    # pulse at t = 0.5, the controller rejects steps on the way into the pulse
+    # and grows them again after it
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def rhs(t, y):
+        return -1j * (1 + 50 * np.exp(-((t - 0.5) / 0.02) ** 2)) * (sx @ y)
+
+    (ours, n_ours), (ref, n_ref) = _counted_runs(
+        (dynamics.solve_ivp, _scipy_rk45), rhs, np.array([1.0, 0.0], dtype=complex),
+        (0.0, 1.0), IntegratorSettings(), time_dependent=False)
+    assert n_ours == n_ref
+    assert np.abs(ours - ref).max() < 1e-13
+
+
+def test_solve_ivp_raises_on_a_nan_right_hand_side():
+    # NaN from the start, and NaN past t = 0.5, where the steps shrink to nothing
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    for rhs in (lambda t, y: np.full_like(y, np.nan),
+                lambda t, y: -1j * y if t < 0.5 else np.full_like(y, np.nan)):
+        with pytest.raises(StiffSegment), np.errstate(invalid="ignore"):
+            dynamics.solve_ivp(rhs, y0, (0.0, 1.0), IntegratorSettings(), time_dependent=False)
+
+
+def test_no_scipy_integrate_in_a_fresh_process():
+    # the cli, a pure and a lossy cat-prep ramp import neither scipy.integrate
+    # nor the scipy.optimize it pulls in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from catms import cli, protocols\n"
+            "protocols.run_cat_prep(1.0, 1.0, 0.5, dim=8)\n"
+            "protocols.run_cat_prep(1.0, 1.0, 0.5, kappa=0.1, dim=8)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
