@@ -15,8 +15,8 @@ Static and time-dependent generators take different paths:
   coherent effective-mode gate needs neither: its generator commutes with
   S_x, so gates.sx_block_columns propagates it as N+1 small bus blocks.
 - A term list (the cat-prep ramp) is integrated by Dormand–Prince 5(4),
-  SciPy's RK45 rules, in `dynamics` (solve_ivp), under IntegratorSettings:
-  evolve_state for a pure state, evolve_density for a lossy ramp.
+  SciPy's RK45 rules, in `dynamics` (solve_ivp), at the tolerances RTOL and
+  ATOL: evolve_state for a pure state, evolve_density for a lossy ramp.
 Both Lindblad paths apply 𝓛 in the same left-products form (_left_products).
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
@@ -24,7 +24,6 @@ side; the Josephson path of the single-qubit gate runs through it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,20 +38,11 @@ class StiffSegment(RuntimeError):
     """Raised when the adaptive integrator underflows its step size."""
 
 
-@dataclass(frozen=True)
-class IntegratorSettings:
-    """Tolerances of the adaptive integrator, solve_ivp.
-
-    The step cap is derived, not set: span/1000 for a time-dependent
-    generator and none for a static one.
-    """
-
-    rtol: float = 1e-8
-    atol: float = 1e-10
-
-    def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+# The relative and absolute tolerances of the adaptive integrator, solve_ivp.
+# Its step cap is derived, not set: span/1000 for a time-dependent generator
+# and none for a static one.
+RTOL = 1e-9
+ATOL = 1e-11
 
 
 def _terms(h) -> list:
@@ -78,29 +68,25 @@ def _term_sum(terms, t, apply):
     return total
 
 
-def evolve_state(h, psi0: np.ndarray, t_span,
-                 settings: IntegratorSettings | None = None) -> np.ndarray:
+def evolve_state(h, psi0: np.ndarray, t_span) -> np.ndarray:
     """Integrate i dψ/dt = H(t) ψ from the vector psi0 and return ψ at the end of t_span.
 
     h is a CSR matrix or a term list (see _terms). A norm drift above
     1e-6 is warned about.
     """
-    settings = settings or IntegratorSettings()
     terms = _terms(h)
 
     def rhs(t, y):
         return -1j * _term_sum(terms, t, lambda m: m @ y)
 
-    v = solve_ivp(rhs, psi0, t_span, settings,
-                  time_dependent=any(f is not None for _, f in terms))
+    v = solve_ivp(rhs, psi0, t_span, time_dependent=any(f is not None for _, f in terms))
     drift = abs(np.linalg.norm(v) - 1.0)
     if drift > 1e-6:
-        warnings.warn(f"state norm drifted by {drift:.2e}; tighten tolerances", stacklevel=2)
+        warnings.warn(f"state norm drifted by {drift:.2e}", stacklevel=2)
     return v
 
 
 def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
-                   settings: IntegratorSettings | None = None,
                    check_positivity: bool | None = None) -> np.ndarray:
     """Propagate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
 
@@ -108,9 +94,9 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
     Hermitian. Each collapse channel contributes ch.rate·D[o] with
     o = ch.op.matrix. A static h (a CSR matrix) is propagated exactly, by the
     Chebyshev series of exp(𝓛·dt) (_lindblad_series); a term list (see _terms)
-    is integrated by solve_ivp under `settings`, which only term lists read. A
-    trace drift above 1e-6 is warned about; a result with an eigenvalue below
-    −1e-6 raises ToleranceBreach (checked by default up to dimension 256).
+    is integrated by solve_ivp. A trace drift above 1e-6 is warned about; a
+    result with an eigenvalue below −1e-6 raises ToleranceBreach (checked by
+    default up to dimension 256).
     """
     dim = rho0.shape[0]
     rho0 = np.asarray(rho0, dtype=complex)
@@ -127,13 +113,13 @@ def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
             p *= -1j
             return finish(p, rho).ravel()
 
-        v = solve_ivp(rhs, rho0.ravel(), t_span, settings or IntegratorSettings(),
+        v = solve_ivp(rhs, rho0.ravel(), t_span,
                       time_dependent=any(f is not None for _, f in terms))
         m = v.reshape(dim, dim)
     rho = (m + m.conj().T) / 2  # enforce Hermiticity
     tr_drift = abs(np.trace(rho) - 1.0)
     if tr_drift > 1e-6:
-        warnings.warn(f"trace drifted by {tr_drift:.2e}; tighten tolerances", stacklevel=2)
+        warnings.warn(f"trace drifted by {tr_drift:.2e}", stacklevel=2)
     if check_positivity is None:
         check_positivity = dim <= 256
     if check_positivity:
@@ -199,12 +185,12 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(rhs, t0, y0, f0, t1, max_step, rtol, atol) -> float:
+def _initial_step(rhs, t0, y0, f0, t1, max_step) -> float:
     """The first step of Hairer, Nørsett & Wanner (Solving ODEs I, Sec. II.4), for order 4."""
     span = t1 - t0
     if span == 0.0:
         return 0.0
-    scale = atol + np.abs(y0) * rtol
+    scale = ATOL + np.abs(y0) * RTOL
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
@@ -216,11 +202,11 @@ def _initial_step(rhs, t0, y0, f0, t1, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, span, max_step)
 
 
-def solve_ivp(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: bool):
+def solve_ivp(rhs, y0, t_span, time_dependent: bool):
     """y(t1) by the Dormand–Prince 5(4) pair with SciPy RK45's step-size rules.
 
     The rules, and so the steps, are those of SciPy's RK45: the error of a
-    step is the RMS norm of its estimate over atol + max(|y|, |y_new|)·rtol;
+    step is the RMS norm of its estimate over ATOL + max(|y|, |y_new|)·RTOL;
     a step is accepted when that is below 1, and the next step is the last
     one times 0.9·err^(−1/5), held in [0.2, 10] and at most 1 after a
     rejection; the first step comes from _initial_step. A step below 10 ulp
@@ -235,13 +221,12 @@ def solve_ivp(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: boo
     t, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t:
         raise ValueError("t_span must not run backwards")
-    rtol, atol = settings.rtol, settings.atol
     # a static generator needs no step cap; a time-dependent one must not
     # skate over features of H(t)
     max_step = max((t1 - t) / 1000.0, 1e-12) if time_dependent else np.inf
     y = np.array(y0, dtype=complex)
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t1, max_step, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, f, t1, max_step)
     k = np.empty((7, y.size), dtype=complex)
     while t < t1:
         min_step = 10 * abs(np.nextafter(t, np.inf) - t)
@@ -258,7 +243,7 @@ def solve_ivp(rhs, y0, t_span, settings: IntegratorSettings, time_dependent: boo
                 k[s] = rhs(t + _DP_C[s] * h, y + np.dot(k[:s].T, _DP_A[s, :s]) * h)
             y_new = y + h * np.dot(k[:6].T, _DP_B)
             f_new = k[6] = rhs(t_new, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             err = _rms(np.dot(k.T, _DP_E) * h / scale)
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)

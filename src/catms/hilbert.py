@@ -3,18 +3,15 @@
 A layout is a tuple `dims` of mode truncations. Modes are addressed by
 index. Mode 0 is the bus cavity by convention and is the slowest-varying
 tensor index (row-major layout). annihilation, number_op and tensor_embed
-return complex CSR matrices of size prod(dims), and displacement the dense
-D(α) of one mode. States are plain NumPy arrays: a vector for a pure state,
-a square matrix for a density matrix.
+return complex CSR matrices of size prod(dims). States are plain NumPy
+arrays: a vector for a pure state, a square matrix for a density matrix.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 
@@ -51,17 +48,6 @@ def annihilation(dims, k: int) -> sp.csr_matrix:
 def number_op(dims, k: int) -> sp.csr_matrix:
     n = sp.diags(np.arange(_mode_dim(dims, k), dtype=float), format="csr", dtype=complex)
     return tensor_embed(n, dims, k)
-
-
-def displacement(dim: int, amp: complex) -> np.ndarray:
-    """D(amp) = exp(amp a† - amp* a) on one dim-level mode, as a dense matrix."""
-    a = _ladder(_mode_dim((dim,), 0)).toarray()
-    if abs(amp) > 0.5 * np.sqrt(dim):
-        warnings.warn(
-            f"displacement amplitude |{abs(amp):.3g}| is large for truncation {dim}",
-            stacklevel=2,
-        )
-    return scipy.linalg.expm(amp * a.conj().T - np.conj(amp) * a)
 
 
 def tensor_embed(m, dims, k: int) -> sp.csr_matrix:

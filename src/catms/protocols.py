@@ -8,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import eval_laguerre, gammaln
 
-from .dynamics import IntegratorSettings, _rk4_integrate, evolve_density, evolve_state
+from .dynamics import _rk4_integrate, evolve_density, evolve_state
 from .gates import average_gate_fidelity
 from .hilbert import SparseOperator, annihilation, number_op
 from .model import CollapseChannel, h_kerr_single
@@ -105,7 +104,6 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
     psi0 = np.zeros(dim, dtype=complex)
     psi0[initial_fock] = 1.0
     h = cat_prep_hamiltonian(kerr, schedule, dim)
-    settings = IntegratorSettings(rtol=1e-9, atol=1e-11)
 
     parity = CatParity.EVEN if initial_fock == 0 else CatParity.ODD
     target = single_mode_cat_vector(dim, alpha, parity)
@@ -116,9 +114,9 @@ def run_cat_prep(kerr: float, alpha: float, t0: float, initial_fock: int = 0,
             channels.append(CollapseChannel(kappa, SparseOperator(annihilation((dim,), 0))))
         if gamma > 0:
             channels.append(CollapseChannel(gamma, SparseOperator(number_op((dim,), 0))))
-        final = evolve_density(h, channels, np.outer(psi0, psi0.conj()), (-t0, 0.0), settings)
+        final = evolve_density(h, channels, np.outer(psi0, psi0.conj()), (-t0, 0.0))
     else:
-        final = evolve_state(h, psi0, (-t0, 0.0), settings)
+        final = evolve_state(h, psi0, (-t0, 0.0))
     return CatPrepResult(parity, fidelity(final, target), ramp_margin(kerr, schedule))
 
 
@@ -263,12 +261,17 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
                           n_steps_per_cycle: int = 320) -> SingleQubitResult:
     """Full single-KPO simulation of a cat-qubit rotation vs its closed form.
 
-    Without the Josephson term the Hamiltonian is static and a single matrix
-    exponential suffices. With it, the explicitly oscillating displacement
-    drive cos[φ_a(a e^{−iω_c t} + a† e^{iω_c t})] (φ_a = 2α) makes H(t)
-    periodic with T = 2π/ω_c. Fixed-step RK4, n_steps_per_cycle steps per
-    period, integrates the propagator over one period and over the remainder
-    r = t − nT, and U(t) = U(r)·U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).
+    Without the Josephson term (xi_j = 0) the Hamiltonian h0 is static, and
+    exp(−ih0·t) comes from one eigh of the dense h0 (not from expm_apply,
+    whose cost grows with the Gershgorin width of h0 times t, and Δ_q·a†a
+    makes that width large). A nonzero xi_j needs use_h_add, which puts the
+    drive into H: the closed-form target always has it, so a run without it
+    would be measured against the wrong gate and is refused. With the drive,
+    the explicitly oscillating displacement drive cos[φ_a(a e^{−iω_c t} +
+    a† e^{iω_c t})] (φ_a = 2α) makes H(t) periodic with T = 2π/ω_c.
+    Fixed-step RK4, n_steps_per_cycle steps per period, integrates the
+    propagator over one period and over the remainder r = t − nT, and
+    U(t) = U(r)·U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).
 
     The Josephson path also reports josephson_trunc, |s/s_∞ − 1| for the
     splitting s = Σ Ō_nn(|C+_n|² − |C−_n|²) of the truncated carrier average
@@ -278,6 +281,8 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     its rotation by 1 − F̄ = 0.26 with a leakage of only 4e-5, and 1e-9
     at dim 80.
     """
+    if params.xi_j != 0.0 and not use_h_add:
+        raise ValueError("a nonzero xi_j needs use_h_add")
     alpha = float(np.sqrt(omega_p / kerr))
     a = annihilation((dim,), 0)
     ad = a.conj().T.tocsr()
@@ -295,9 +300,9 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     )
 
     josephson_trunc = None
-    if not use_h_add or params.xi_j == 0.0:
-        u = scipy.linalg.expm(-1j * t_gate * h0.toarray())
-        cols = u @ basis
+    if params.xi_j == 0.0:
+        w, vecs = np.linalg.eigh(h0.toarray())
+        cols = vecs @ (np.exp(-1j * t_gate * w)[:, None] * (vecs.conj().T @ basis))
     else:
         if omega_c is None:
             omega_c = 800.0 * kerr

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import enum
+import warnings
 
 import numpy as np
 
-from .hilbert import displacement
+from .hilbert import annihilation
 
 
 class CatParity(enum.Enum):
@@ -18,16 +19,22 @@ class CatParity(enum.Enum):
 
 
 def single_mode_cat_vector(dim: int, alpha: float, parity: CatParity) -> np.ndarray:
-    """Amplitudes of the cat N±[D(α) ± D(−α)]|0⟩ on an isolated dim-level mode."""
+    """Amplitudes of the cat N±[D(α) ± D(−α)]|0⟩ on an isolated dim-level mode.
+
+    D(α)|0⟩ = exp(−iαp)|0⟩ with the Hermitian p = i(a† − a), from one eigh
+    of p. The parity (−1)ⁿ maps a to −a, and so D(α) to D(−α), exactly in
+    the truncated mode as well: D(α)|0⟩ ± D(−α)|0⟩ is twice the even (C+) or
+    the odd (C−) Fock entries of D(α)|0⟩, which are kept and renormalised.
+    """
     if alpha <= 0:
         raise ValueError("cat amplitude must be positive")
-    # D(±α)|0⟩ is column 0 of D(±α)
-    v = displacement(dim, alpha)[:, 0] + parity.sign * displacement(dim, -alpha)[:, 0]
-    # enforce exact Fock-support parity (cancellation leaves ~1e-17 residue)
-    if parity is CatParity.EVEN:
-        v[1::2] = 0.0
-    else:
-        v[0::2] = 0.0
+    a = annihilation((dim,), 0).toarray()
+    if alpha > 0.5 * np.sqrt(dim):
+        warnings.warn(f"displacement amplitude {alpha:.3g} is large for truncation {dim}",
+                      stacklevel=2)
+    w, vecs = np.linalg.eigh(1j * (a.conj().T - a))
+    v = vecs @ (np.exp(-1j * alpha * w) * vecs[0].conj())  # D(α)|0⟩
+    v[1 if parity is CatParity.EVEN else 0::2] = 0.0
     return v / np.linalg.norm(v)
 
 

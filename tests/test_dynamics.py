@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from catms import dynamics, protocols
 from catms.dynamics import (
-    IntegratorSettings,
     StiffSegment,
     ToleranceBreach,
     _lindblad_series,
@@ -47,7 +46,7 @@ def test_adaptive_matches_closed_form():
     h, psi0 = _two_level_rabi()
     t = 2.0
     exact = scipy.linalg.expm(-1j * t * h.toarray()) @ psi0
-    psi = evolve_state(h, psi0, (0.0, t), IntegratorSettings(rtol=1e-10, atol=1e-12))
+    psi = evolve_state(h, psi0, (0.0, t))
     assert np.abs(psi - exact).max() < 1e-8
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
 
@@ -64,19 +63,19 @@ def _phase_problem():
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     phase = T + T**2 / 2.0
     expected = np.array([np.exp(-1j * phase), np.exp(1j * phase)]) / np.sqrt(2.0)
-    return h, psi0, expected, IntegratorSettings(rtol=1e-10, atol=1e-12)
+    return h, psi0, expected
 
 
 
 def test_time_dependent_hamiltonian_phase():
-    h, psi0, expected, settings = _phase_problem()
-    psi = evolve_state(h, psi0, (0.0, T), settings)
+    h, psi0, expected = _phase_problem()
+    psi = evolve_state(h, psi0, (0.0, T))
     assert np.abs(psi - expected).max() < 1e-7
 
 
 def test_time_dependent_hamiltonian_phase_density():
-    h, psi0, expected, settings = _phase_problem()
-    rho = evolve_density(h, [], np.outer(psi0, psi0.conj()), (0.0, T), settings)
+    h, psi0, expected = _phase_problem()
+    rho = evolve_density(h, [], np.outer(psi0, psi0.conj()), (0.0, T))
     assert np.abs(rho - np.outer(expected, expected.conj())).max() < 1e-7
 
 
@@ -185,13 +184,6 @@ def test_propagate_piecewise_unitary_and_composed():
     assert np.abs(block - u_ref[:, [0, 5]]).max() < 1e-10
 
 
-def test_integrator_settings_validation():
-    with pytest.raises(ValueError):
-        IntegratorSettings(rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorSettings(atol=-1e-12)
-
-
 def _zero_hamiltonian(dim):
     return sp.csr_matrix((dim, dim), dtype=complex)
 
@@ -284,17 +276,17 @@ def test_evolve_density_term_list_uses_the_same_lindbladian():
     name, h, channels, dt = _lindblad_models()[1]
     rho0 = _mixed_state(8)
     exact = evolve_density(h, channels, rho0, (0.0, dt))
-    rk45 = evolve_density([(h, None)], channels, rho0, (0.0, dt),
-                          IntegratorSettings(rtol=1e-10, atol=1e-12))
+    rk45 = evolve_density([(h, None)], channels, rho0, (0.0, dt))
     assert np.abs(rk45 - exact).max() < 1e-8
 
 
-def _scipy_rk45(rhs, y0, t_span, settings, time_dependent):
+def _scipy_rk45(rhs, y0, t_span, time_dependent):
     """dynamics.solve_ivp's problem under SciPy's RK45, y(t1) read from its dense output."""
     t0, t1 = t_span
     max_step = max((t1 - t0) / 1000.0, 1e-12) if time_dependent else np.inf
     sol = scipy.integrate.solve_ivp(rhs, (t0, t1), y0, method="RK45", t_eval=[t1],
-                                    rtol=settings.rtol, atol=settings.atol, max_step=max_step)
+                                    rtol=dynamics.RTOL, atol=dynamics.ATOL,
+                                    max_step=max_step)
     assert sol.success
     return sol.y[:, -1]
 
@@ -342,7 +334,7 @@ def test_solve_ivp_controls_its_steps_as_scipy_rk45_does():
 
     (ours, n_ours), (ref, n_ref) = _counted_runs(
         (dynamics.solve_ivp, _scipy_rk45), rhs, np.array([1.0, 0.0], dtype=complex),
-        (0.0, 1.0), IntegratorSettings(), time_dependent=False)
+        (0.0, 1.0), time_dependent=False)
     assert n_ours == n_ref
     assert np.abs(ours - ref).max() < 1e-13
 
@@ -353,21 +345,30 @@ def test_solve_ivp_raises_on_a_nan_right_hand_side():
     for rhs in (lambda t, y: np.full_like(y, np.nan),
                 lambda t, y: -1j * y if t < 0.5 else np.full_like(y, np.nan)):
         with pytest.raises(StiffSegment), np.errstate(invalid="ignore"):
-            dynamics.solve_ivp(rhs, y0, (0.0, 1.0), IntegratorSettings(), time_dependent=False)
+            dynamics.solve_ivp(rhs, y0, (0.0, 1.0), time_dependent=False)
 
 
 def test_no_scipy_integrate_in_a_fresh_process():
-    # the cli, a pure and a lossy cat-prep ramp import neither scipy.integrate
-    # nor the scipy.optimize it pulls in
+    # the cli, a pure and a lossy cat-prep ramp, both single-qubit paths and
+    # the Fock and Kerr-level gate models import none of scipy.linalg,
+    # scipy.integrate and the scipy.optimize that scipy.integrate pulls in
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys\n"
-            "from catms import cli, protocols\n"
+            "from catms import cli, gates, protocols\n"
+            "from catms.model import GateConfig\n"
             "protocols.run_cat_prep(1.0, 1.0, 0.5, dim=8)\n"
             "protocols.run_cat_prep(1.0, 1.0, 0.5, kappa=0.1, dim=8)\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n")
+            "for use_h_add in (False, True):\n"
+            "    p = protocols.design_single_qubit_drive('hadamard', 1.5, 0.5, use_h_add)\n"
+            "    protocols.run_single_qubit_gate(1.0, 2.25, p, use_h_add, t_gate=0.5,\n"
+            "                                    omega_c=200.0, dim=12)\n"
+            "cfg = GateConfig.from_alpha(1, 1.0, 1.0, 0.1, bus_dim=3, kpo_dim=10)\n"
+            "gates.GateModel.fock(cfg)\n"
+            "gates.GateModel.kerr_levels(cfg.replace(kpo_levels=6))\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('scipy.linalg', 'scipy.integrate', 'scipy.optimize'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

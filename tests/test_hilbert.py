@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from catms.hilbert import annihilation, displacement, number_op, tensor_embed
-from catms.states import fidelity
+from catms.hilbert import annihilation, number_op, tensor_embed
+from catms.states import CatParity, fidelity, single_mode_cat_vector
 
 
 def test_builders_reject_bad_input():
@@ -18,7 +18,7 @@ def test_builders_reject_bad_input():
         with pytest.raises(ValueError):
             build((10, 4), -1)
     with pytest.raises(ValueError):
-        displacement(1, 0.1)
+        single_mode_cat_vector(1, 0.1, CatParity.EVEN)
     with pytest.raises(ValueError):
         tensor_embed(sp.identity(3, format="csr"), (3, 4), 2)
 
@@ -60,33 +60,26 @@ def test_commutator_identity_below_truncation():
     assert np.abs(comm - expected).max() < 1e-12
 
 
-def test_displacement_identity_and_inverse():
-    d0 = displacement(30, 0.0)
-    assert np.abs(d0 - np.eye(30)).max() < 1e-12
-    dp = displacement(30, 2.0)
-    dm = displacement(30, -2.0)
-    assert np.abs(dp @ dm - np.eye(30)).max() < 1e-10
-
-
-def test_displacement_is_unitary():
-    d = displacement(30, 2.5)
-    assert np.abs(d.conj().T @ d - np.eye(30)).max() < 1e-8
-
-
 def test_displacement_coherent_amplitudes():
-    vac = np.zeros(40)
-    vac[0] = 1.0
-    col = displacement(40, 2.0) @ vac
+    # the cat N±(D(α) ± D(−α))|0⟩ has the Poisson amplitudes e^{−α²/2}α^ν/√ν!
+    # of the coherent state D(α)|0⟩, times 2N± = sqrt(2/(1 ± e^{−2α²})), on
+    # the Fock states of its parity, and zeros on the others
     from math import factorial
 
-    for nu in range(10):
-        expected = np.exp(-2.0) * 2.0**nu / np.sqrt(factorial(nu))
-        assert col[nu] == pytest.approx(expected, rel=1e-10)
+    alpha = 2.0
+    for parity in CatParity:
+        cat = single_mode_cat_vector(40, alpha, parity)
+        two_n = np.sqrt(2.0 / (1.0 + parity.sign * np.exp(-2.0 * alpha**2)))
+        for nu in range(10):
+            poisson = np.exp(-alpha**2 / 2) * alpha**nu / np.sqrt(factorial(nu))
+            expected = two_n * poisson if (-1) ** nu == parity.sign else 0.0
+            assert cat[nu] == pytest.approx(expected, rel=1e-10)
 
 
 def test_displacement_warns_for_large_amplitude():
-    with pytest.warns(UserWarning):
-        displacement(9, 3.0)
+    for parity in CatParity:
+        with pytest.warns(UserWarning):
+            single_mode_cat_vector(9, 3.0, parity)
 
 
 def test_tensor_embed_matches_kron_oracle():

@@ -115,6 +115,15 @@ def test_not_gate_full_simulation():
     assert 1.0 - res.fidelity < 5e-4
 
 
+def test_josephson_drive_needs_use_h_add():
+    # the closed-form target carries the Josephson term, so a run that left it
+    # out of H would be scored against the wrong gate (F̄ = 0.601 here)
+    p = protocols.design_single_qubit_drive("hadamard", 2.0, 5.0, use_h_add=True)
+    assert p.xi_j != 0.0
+    with pytest.raises(ValueError, match="use_h_add"):
+        protocols.run_single_qubit_gate(1.0, 4.0, p, use_h_add=False, t_gate=5.0)
+
+
 def test_ramp_margin_positive():
     s = protocols.CatPrepSchedule(t0=2.0, alpha=2.0)
     assert protocols.ramp_margin(1.0, s) > 0.0

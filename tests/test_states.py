@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from catms.gates import GateModel
-from catms.hilbert import displacement, number_op
+from catms.hilbert import annihilation, number_op
 from catms.model import GateConfig
 from catms.states import CatParity, basis_state, fidelity, single_mode_cat_vector
 
 
 def _displaced_vacuum(dim, alpha):
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    return displacement(dim, alpha) @ vac
+    # D(α)|0⟩ = exp(α(a† − a))|0⟩ by SciPy's Padé expm, independently of the
+    # eigh that single_mode_cat_vector uses
+    a = annihilation((dim,), 0).toarray()
+    return scipy.linalg.expm(alpha * (a.conj().T - a))[:, 0]
 
 
 def test_coherent_photon_number():
