@@ -36,17 +36,21 @@ EXIT_NUMERIC = 4
 
 CONFIG_VERSION = 1
 DEFAULT_CEILING_BYTES = 8 * 1024**3
-DENSITY_WORKING_SET = 10
+DENSITY_WORKING_SET = 6
 """Peak working set of a gate's density-matrix run, in copies of ρ.
 
-Each segment is propagated by dynamics._lindblad_series, which holds up to 9
-copies: the segment's ρ0, the sub-step's input, the terms S_{k−1}, S_k and
-S_{k+1}, the sum and the temporary of its update, the Lindblad map's
-conjugate-transpose buffer and one sparse product in flight. tracemalloc
-measured peaks of 9.3 × one copy over a whole run_gate, the metrics
-included, on the dim-80 effective fig4_output_fidelity point at N = 2, and
-8.7 × on the dim-160 Kerr-level point of fig2a_bus_decoherence (kpo_levels
-4, bus_rate 0.1).
+A gate keeps ρ as its two parity blocks, each a quarter of ρ, so the flat
+array of both is half a copy. Each segment is propagated by
+dynamics._lindblad_series, which holds about 8 such arrays: the segment's
+ρ0, the sub-step's input, the terms S_{k−1}, S_k and S_{k+1}, the sum and
+the temporary of its update, and the map's output, besides the map's sparse
+products in flight and its conjugate-transpose buffer. The metrics then
+assemble ρ whole, one copy, and rotate it in place. tracemalloc measured
+peaks of 5.4 × one copy over a whole run_gate, the metrics included, on the
+dim-80 effective fig4_output_fidelity point at N = 2, 4.4 × on the dim-160
+Kerr-level point of fig2a_bus_decoherence (kpo_levels 4, bus_rate 0.1) and
+4.0 × on the dim-640 fig4_n2_full point; the fixed cost of the operators
+weighs most at the smallest dimension.
 """
 RAMP_WORKING_SET = 19
 """Peak working set of the lossy cat-prep ramp, in copies of ρ.

@@ -11,15 +11,22 @@ Static and time-dependent generators take different paths:
   to a density matrix; both sum the Chebyshev (Jacobi–Anger) series of one
   kernel, _chebyshev_series. evolve_density sends a bare CSR matrix to
   _lindblad_series. The gate runner propagates a coherent full-mode gate with
-  expm_apply and every segment of a dissipative gate with evolve_density. A
-  coherent effective-mode gate needs neither: its generator commutes with
-  S_x, so gates.sx_block_columns propagates it as N+1 small bus blocks.
+  propagate_piecewise and every segment of a dissipative gate with
+  evolve_density. A coherent effective-mode gate needs neither: its generator
+  commutes with S_x, so gates.sx_block_columns propagates it as N+1 small bus
+  blocks.
 - A term list (the cat-prep ramp) is integrated by Dormand–Prince 5(4),
   SciPy's RK45 rules, in `dynamics` (solve_ivp), at the tolerances RTOL and
   ATOL: evolve_state for a pure state, evolve_density for a lossy ramp.
 Both Lindblad paths apply 𝓛 in the same left-products form (_left_products).
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
+
+Sectors. propagate_piecewise, evolve_density and _lindblad_series also take
+a state as its sectors (_sectors), such as the gate's two total
+photon-number parities: each sector holds only its own block, and the cross
+blocks, which stay exactly 0, are never formed. A bare array is the
+one-sector case of the same code.
 """
 from __future__ import annotations
 
@@ -86,50 +93,118 @@ def evolve_state(h, psi0: np.ndarray, t_span) -> np.ndarray:
     return v
 
 
-def evolve_density(h, collapse_channels, rho0: np.ndarray, t_span,
-                   check_positivity: bool | None = None) -> np.ndarray:
+def evolve_density(h, collapse_channels, rho0, t_span,
+                   check_positivity: bool | None = None):
     """Propagate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
 
-    rho0 is a dense Hermitian matrix; returns ρ at the end of t_span, made
+    rho0 is a dense Hermitian matrix, or a block-diagonal one given as its
+    sectors (_sectors); returns ρ at the end of t_span in the same form, made
     Hermitian. Each collapse channel contributes ch.rate·D[o] with
-    o = ch.op.matrix. A static h (a CSR matrix) is propagated exactly, by the
-    Chebyshev series of exp(𝓛·dt) (_lindblad_series); a term list (see _terms)
-    is integrated by solve_ivp. A trace drift above 1e-6 is warned about; a
-    result with an eigenvalue below −1e-6 raises ToleranceBreach (checked by
-    default up to dimension 256).
+    o = ch.op.matrix, on the whole space. A static h (a CSR matrix) is
+    propagated exactly, by the Chebyshev series of exp(𝓛·dt)
+    (_lindblad_series); a term list (see _terms) is integrated by solve_ivp.
+    A trace drift above 1e-6 is warned about; a result with an eigenvalue
+    below −1e-6 raises ToleranceBreach (checked by default up to dimension
+    256).
     """
-    dim = rho0.shape[0]
-    rho0 = np.asarray(rho0, dtype=complex)
+    blocks = _sectors(rho0)
+    sectors = [idx for idx, _ in blocks]
     if sp.issparse(h):
-        m = _lindblad_series(h, collapse_channels, rho0, float(t_span[1]) - float(t_span[0]))
+        blocks = _lindblad_series(h, collapse_channels, blocks,
+                                  float(t_span[1]) - float(t_span[0]))
     else:
         terms = _terms(h)
-        decay, finish = _left_products(collapse_channels, 1.0, dim)
-        terms.append((decay, None))
+        decay, finish = _left_products(collapse_channels, 1.0, sectors)
+        terms = [(_generator_blocks(m, sectors), f) for m, f in terms + [(decay, None)]]
 
         def rhs(t, y):
-            rho = y.reshape(dim, dim)
-            p = _term_sum(terms, t, lambda m: m @ rho)
-            p *= -1j
-            return finish(p, rho).ravel()
+            rhos, ps = _views(y, sectors), []
+            for s, rho in enumerate(rhos):
+                p = _term_sum(terms, t, lambda m: m[s] @ rho)
+                p *= -1j
+                ps.append(p)
+            return finish(ps, rhos)
 
-        v = solve_ivp(rhs, rho0.ravel(), t_span,
+        v = solve_ivp(rhs, _flat(blocks), t_span,
                       time_dependent=any(f is not None for _, f in terms))
-        m = v.reshape(dim, dim)
-    rho = (m + m.conj().T) / 2  # enforce Hermiticity
-    tr_drift = abs(np.trace(rho) - 1.0)
+        blocks = list(zip(sectors, _views(v, sectors)))
+    blocks = [(idx, (m + m.conj().T) / 2) for idx, m in blocks]  # enforce Hermiticity
+    tr_drift = abs(sum(np.trace(m) for _, m in blocks) - 1.0)
     if tr_drift > 1e-6:
         warnings.warn(f"trace drifted by {tr_drift:.2e}", stacklevel=2)
     if check_positivity is None:
-        check_positivity = dim <= 256
+        check_positivity = sum(map(len, sectors)) <= 256
     if check_positivity:
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -1e-6:
-            raise ToleranceBreach(f"min eigenvalue {w.min():.2e} below -1e-6")
-    return rho
+        # ρ is block-diagonal, so its spectrum is the union of its blocks'
+        w = min(np.linalg.eigvalsh(m).min() for _, m in blocks)
+        if w < -1e-6:
+            raise ToleranceBreach(f"min eigenvalue {w:.2e} below -1e-6")
+    return blocks if isinstance(rho0, list) else blocks[0][1]
 
 
-def _left_products(collapse_channels, scale: float, dim: int):
+def _sectors(x) -> list:
+    """x as a list of (indices, block) pairs over sectors I_s that partition the basis.
+
+    Every operator keeps each sector or swaps the two. A block-diagonal ρ is
+    held as its blocks ρ[I_s, I_s], a block of columns as the rows I_s of the
+    columns that lie in sector s. A bare array is one sector, the whole space.
+    """
+    if isinstance(x, list):
+        return x
+    x = np.asarray(x, dtype=complex)
+    return [(np.arange(x.shape[0]), x)]
+
+
+def _sector_blocks(m, sectors) -> list:
+    """(s, t, m[I_t, I_s]) for each sector s: the one nonzero block of m that leaves s.
+
+    t = s when m keeps the sectors, and t = 1 − s when m swaps the two. An m
+    with nonzero entries of both kinds raises ValueError. Each block keeps
+    the entries of its rows in their order, so a product with it sums what
+    the whole-space product sums, in the same order.
+    """
+    label, local = np.empty((2, m.shape[0]), dtype=int)
+    for s, idx in enumerate(sectors):
+        label[idx], local[idx] = s, np.arange(len(idx))
+    c = m.tocoo()
+    row, col = label[c.row], label[c.col]
+    cross = (row != col)[c.data != 0]
+    swap = int(cross.any())
+    if swap and not cross.all():
+        raise ValueError("operator has entries both within and across the sectors")
+    blocks = []
+    for s, idx in enumerate(sectors):
+        t = s ^ swap
+        at = (col == s) & (row == t)
+        blocks.append((s, t, sp.csr_matrix(
+            (c.data[at], (local[c.row[at]], local[c.col[at]])), shape=(len(sectors[t]), len(idx)))))
+    return blocks
+
+
+def _generator_blocks(h, sectors) -> list:
+    """The diagonal blocks H[I_s, I_s] of a generator, which must keep every sector."""
+    blocks = _sector_blocks(h, sectors)
+    if any(s != t for s, t, _ in blocks):
+        raise ValueError("the generator swaps the sectors")
+    return [m for _, _, m in blocks]
+
+
+def _flat(blocks) -> np.ndarray:
+    """The square blocks of a list of (indices, block) pairs, raveled and concatenated."""
+    return np.concatenate([np.asarray(m, dtype=complex).ravel() for _, m in blocks])
+
+
+def _views(y: np.ndarray, sectors) -> list:
+    """The square blocks, one per sector, that _flat concatenated into y, as views."""
+    views, start = [], 0
+    for idx in sectors:
+        n = len(idx)
+        views.append(y[start:start + n * n].reshape(n, n))
+        start += n * n
+    return views
+
+
+def _left_products(collapse_channels, scale: float, sectors):
     """The channel terms of scale·𝓛 in left-products form, for Hermitian ρ.
 
     With H_eff = H − (i/2)Σ r_k o_k†o_k and X = H_eff·ρ,
@@ -137,29 +212,41 @@ def _left_products(collapse_channels, scale: float, dim: int):
         𝓛ρ = −iX + (−iX)† + Σ r_k o_k(o_kρ)†,
 
     which needs no product ρ·o from the right. The form is right only for a
-    Hermitian ρ, where (o_kρ)† = ρo_k†. Returns (decay, finish): decay is the
-    CSR matrix −(i/2)Σ r_k o_k†o_k, the anti-Hermitian part of H_eff, and
-    finish(p, rho) takes p = −i·scale·X (a fresh array it may overwrite) and
-    returns scale·𝓛ρ. It adds the jump terms as P = p + Σ (scale·r_k/2)·
-    o_k(o_kρ)† and returns P + P†, so the jump terms come out symmetrised and
-    the result is Hermitian to the last bit. Both integrators feed each result
-    back into the map, so it keeps getting the Hermitian input it needs.
+    Hermitian ρ, where (o_kρ)† = ρo_k†.
+
+    ρ is block-diagonal over `sectors`, and each o_k keeps them or swaps the
+    two (_sector_blocks). So o_k†o_k keeps them, the jump term takes ρ_s to
+    o_k[I_t, I_s]·ρ_s·o_k[I_t, I_s]† in sector t, and 𝓛ρ is block-diagonal
+    again. Returns (decay, finish): decay is the CSR matrix −(i/2)Σ r_k o_k†o_k,
+    the anti-Hermitian part of H_eff, on the whole space, and
+    finish(ps, rhos) takes ρ's blocks rhos and ps[s] = −i·scale·X_s (fresh
+    arrays it may overwrite) and returns scale·𝓛ρ in the flat form of _flat.
+    It adds the jump terms as P = p + Σ (scale·r_k/2)·o_k(o_kρ)† and returns
+    P + P†, so the jump terms come out symmetrised and the result is
+    Hermitian to the last bit. Both integrators feed each result back into
+    the map, so it keeps getting the Hermitian input it needs.
     """
+    dim = sum(len(idx) for idx in sectors)
     decay = sp.csr_matrix((dim, dim), dtype=complex)
-    jumps = []
+    jumps, bufs = [], {}
     for ch in collapse_channels:
         o = ch.op.matrix
         decay = decay + (-0.5j * ch.rate) * (o.conj().T @ o)
-        jumps.append((np.sqrt(scale * ch.rate / 2) * o).tocsr())
-    tmp = np.empty((dim, dim), dtype=complex)
+        for s, t, block in _sector_blocks(np.sqrt(scale * ch.rate / 2) * o, sectors):
+            jumps.append((s, t, block))
+            bufs.setdefault(block.shape[::-1], np.empty(block.shape[::-1], dtype=complex))
+    size = sum(len(idx) ** 2 for idx in sectors)
 
-    def finish(p, rho):
-        for o in jumps:
-            np.conjugate((o @ rho).T, out=tmp)
-            p += o @ tmp
-        np.conjugate(p.T, out=tmp)
-        p += tmp
-        return p
+    def finish(ps, rhos):
+        for s, t, o in jumps:
+            tmp = bufs[o.shape[::-1]]
+            np.conjugate((o @ rhos[s]).T, out=tmp)
+            ps[t] += o @ tmp
+        out = np.empty(size, dtype=complex)
+        for p, v in zip(ps, _views(out, sectors)):
+            np.conjugate(p.T, out=v)
+            v += p
+        return out
 
     return decay.tocsr(), finish
 
@@ -364,15 +451,27 @@ def expm_apply(h, block: np.ndarray, dt: float) -> np.ndarray:
     return _chebyshev_series(two_h.__matmul__, block, w * dt, phase=phase)
 
 
-def _lindblad_series(h, collapse_channels, rho0: np.ndarray, dt: float) -> np.ndarray:
+def _lindblad_series(h, collapse_channels, rho0, dt: float):
     """exp(𝓛·dt)·ρ0 for a static Lindbladian, by its Chebyshev series.
 
-    h is a Hermitian CSR matrix, rho0 a dense Hermitian matrix, and the
-    channels are those of evolve_density. 𝓛 is applied in left-products form
-    (_left_products), and _chebyshev_series sums exp(z·B) = exp(−izX) with
-    B = 𝓛/w, X = iB and z = w·dt, in its real form. Its terms S_k are real
-    polynomials in 𝓛 applied to ρ0, so they are Hermitian, as the
-    left-products form needs.
+    h is a Hermitian CSR matrix and the channels are those of evolve_density,
+    both on the whole space; rho0 is a dense Hermitian matrix or its sectors
+    (_sectors), and the result has the same form. 𝓛 is applied in
+    left-products form (_left_products), and _chebyshev_series sums
+    exp(z·B) = exp(−izX) with B = 𝓛/w, X = iB and z = w·dt, in its real form.
+    Its terms S_k are real polynomials in 𝓛 applied to ρ0, so they are
+    Hermitian, as the left-products form needs.
+
+    Sectors. H keeps each sector and every o_k keeps or swaps them, so 𝓛
+    maps a block-diagonal ρ to a block-diagonal one, and so does every S_k:
+    the series runs on the diagonal blocks alone, with the blocks of H_eff
+    and of the o_k (_sector_blocks), and the cross blocks, exactly 0
+    throughout, are never formed. Each block entry is the same sum, term by
+    term and in the same order, as in the whole-space series. The interval,
+    G, margin, bound and sub-steps below are those of the whole space: H's
+    Gershgorin discs are row by row, and each row of H (and of o_k†o_k) lies
+    in one sector, so the sectors' intervals have the whole space's as their
+    union. The whole space is the one-sector case.
 
     Interval, margin and bound. Take norms on the matrices under the
     Frobenius inner product, and two numbers:
@@ -404,37 +503,44 @@ def _lindblad_series(h, collapse_channels, rho0: np.ndarray, dt: float) -> np.nd
     With no channels (G = 0), X = Y: margin 0, bound 1 and one step, as in
     expm_apply; when 𝓛 = 0 as well, ρ0 is returned.
     """
-    dim = rho0.shape[0]
+    blocks = _sectors(rho0)
+    sectors = [idx for idx, _ in blocks]
     lo, hi = _gershgorin(h)
     g = sum(ch.rate * abs(ch.op.matrix.conj().T @ ch.op.matrix).sum(axis=1).max()
             for ch in collapse_channels)
     w = (hi - lo) + 4 * g
-    if w == 0:  # H = c·I and no channels: 𝓛 = 0
-        return rho0.copy()
-    margin, bound = 0.0, 1.0
-    if g > 0:
-        a, delta = (hi - lo) / w, 2 * g / w
-        margin = np.arcsinh(2 * delta / np.sqrt(1 - a * a))
-        bound = np.cosh(margin) / delta
-    n_sub = max(1, int(np.ceil(margin * w * dt / np.log(100))))
-    decay, finish = _left_products(collapse_channels, 2 / w, dim)
-    k_eff = ((-2j / w) * (h + decay)).tocsr()  # −(2i/w)·H_eff
+    y = _flat(blocks)
+    if w != 0:  # else H = c·I and no channels: 𝓛 = 0
+        margin, bound = 0.0, 1.0
+        if g > 0:
+            a, delta = (hi - lo) / w, 2 * g / w
+            margin = np.arcsinh(2 * delta / np.sqrt(1 - a * a))
+            bound = np.cosh(margin) / delta
+        n_sub = max(1, int(np.ceil(margin * w * dt / np.log(100))))
+        decay, finish = _left_products(collapse_channels, 2 / w, sectors)
+        k_eff = _generator_blocks((-2j / w) * (h + decay), sectors)  # −(2i/w)·H_eff
 
-    def two_b(s):
-        return finish(k_eff @ s, s)
+        def two_b(x):
+            rhos = _views(x, sectors)
+            return finish([k @ r for k, r in zip(k_eff, rhos)], rhos)
 
-    rho = rho0
-    for _ in range(n_sub):
-        rho = _chebyshev_series(two_b, rho, w * dt / n_sub, margin, bound, real=True)
-    return rho
+        for _ in range(n_sub):
+            y = _chebyshev_series(two_b, y, w * dt / n_sub, margin, bound, real=True)
+    out = list(zip(sectors, _views(y, sectors)))
+    return out if isinstance(rho0, list) else out[0][1]
 
 
-def propagate_piecewise(segments, block: np.ndarray) -> np.ndarray:
+def propagate_piecewise(segments, block):
     """Apply Π_k exp(-i H_k dt_k) to block; segments are (H, dt) with H a Hermitian CSR matrix.
 
-    block is a vector or a 2-D block of columns, propagated together.
+    block is a vector or a 2-D block of columns, propagated together, or its
+    sectors (_sectors): then every H must keep them, and each sector's
+    columns are propagated under that sector's block of H, by expm_apply
+    with the block's own Gershgorin interval. The result has block's form.
     """
-    y = np.asarray(block, dtype=complex)
+    blocks = _sectors(block)
+    sectors = [idx for idx, _ in blocks]
+    ys = [np.asarray(y, dtype=complex) for _, y in blocks]
     for h, dt in segments:
-        y = expm_apply(h, y, dt)
-    return y
+        ys = [expm_apply(hs, y, dt) for hs, y in zip(_generator_blocks(h, sectors), ys)]
+    return list(zip(sectors, ys)) if isinstance(block, list) else ys[0]

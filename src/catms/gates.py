@@ -267,9 +267,16 @@ class GateModel:
     J(k_n a0† + h.c.), its channels (rate, op), and `cats`, the |C±⟩
     amplitudes in its basis. `leaks` is False when that basis is the cat
     manifold itself, where P_C ≡ 1 measures nothing.
+
+    `kpo_odd` marks the KPO basis states of odd photon-number parity, and
+    `parity` is the total parity (−1)^{n0+Σn_k} of each basis index, as 0
+    (even) or 1 (odd): the XOR over the modes of bus Fock n mod 2 and the
+    KPOs' kpo_odd. The generator keeps it; of the channels, dephasing keeps
+    it and every loss or flip swaps it. `sectors` holds the even and the odd
+    indices, the sectors (dynamics._sectors) that run_gate propagates apart.
     """
 
-    def __init__(self, config: GateConfig, mode: str, h1, k1, kpo_channels, cats):
+    def __init__(self, config: GateConfig, mode: str, h1, k1, kpo_channels, cats, kpo_odd):
         self.dims = dims = model_dims(config, mode)
         self.cats = cats
         self.leaks = mode != "effective"
@@ -283,6 +290,10 @@ class GateModel:
             CollapseChannel(r, SparseOperator(tensor_embed(op, dims, n)))
             for n in kpos for r, op in kpo_channels if r > 0
         ]
+        self.parity = np.arange(dims[0]) % 2
+        for _ in kpos:
+            self.parity = (self.parity[:, None] ^ np.asarray(kpo_odd, dtype=int)).ravel()
+        self.sectors = [np.flatnonzero(self.parity == p) for p in (0, 1)]
 
     @classmethod
     def effective(cls, config: GateConfig) -> GateModel:
@@ -299,7 +310,8 @@ class GateModel:
         rate = config.kappa * alpha**2 / np.sqrt(1.0 - np.exp(-4.0 * alpha**2))
         eye = np.eye(2, dtype=complex)
         cats = {CatParity.EVEN: eye[0], CatParity.ODD: eye[1]}
-        return cls(config, "effective", np.zeros((2, 2)), alpha * sx, [(rate, flip)], cats)
+        return cls(config, "effective", np.zeros((2, 2)), alpha * sx, [(rate, flip)], cats,
+                   [0, 1])
 
     @classmethod
     def fock(cls, config: GateConfig) -> GateModel:
@@ -307,7 +319,8 @@ class GateModel:
         a, n = annihilation((config.kpo_dim,), 0), number_op((config.kpo_dim,), 0)
         h1 = h_kerr_single(config.kerr, config.omega_p, config.kpo_dim)
         cats = {p: single_mode_cat_vector(config.kpo_dim, config.alpha, p) for p in CatParity}
-        return cls(config, "full", h1, a, [(config.kappa, a), (config.gamma, n)], cats)
+        return cls(config, "full", h1, a, [(config.kappa, a), (config.gamma, n)], cats,
+                   np.arange(config.kpo_dim) % 2)
 
     @classmethod
     def kerr_levels(cls, config: GateConfig) -> GateModel:
@@ -317,7 +330,9 @@ class GateModel:
         eigenstates preserves the gate dynamics while shrinking both the
         dimension and the spectral spread that limits the integrator step
         size. With V the level isometry, the KPO operators are diag(E), V†aV
-        and V†nV, and the cats are V†|C±⟩, renormalised.
+        and V†nV, and the cats are V†|C±⟩, renormalised. Each level comes
+        from one parity block of kerr_level_isometry, so it is odd exactly
+        when its odd Fock rows are not all 0.
         """
         levels = config.kpo_levels
         if levels is None:
@@ -336,7 +351,8 @@ class GateModel:
                 )
             cats[parity] = red / norm
         return cls(config, "full", np.diag(energies), a_red,
-                   [(config.kappa, a_red), (config.gamma, n_red)], cats)
+                   [(config.kappa, a_red), (config.gamma, n_red)], cats,
+                   np.abs(v[1::2]).sum(axis=0) > 0)
 
     def generators(self, schedule: Schedule) -> list:
         """(Δ·n0 + h_rest + J·c, dt) of every segment of `schedule`, as CSR matrices."""
@@ -359,12 +375,16 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     as one block of columns and report the average gate fidelity. In
     effective mode the generator commutes with S_x, so sx_block_columns
     propagates N+1 bus blocks; in full mode propagate_piecewise applies each
-    segment's exponential by its Chebyshev expansion. Dissipative runs evolve
-    the density matrix of basis state `input_state`, an index (default 0: all
-    qubits in |C+>), and report F_out and, in full mode, the no-leakage
-    probability P_C. They take the Lindblad path in both modes: the σy part of
-    the effective model's flip channel does not commute with S_x, so it mixes
-    the blocks. Both report bus_top, a witness of bus truncation: the
+    segment's exponential by its Chebyshev expansion, to each basis column
+    under the block of its own parity sector (GateModel.sectors), which has
+    half the rows. Dissipative runs evolve the density matrix of basis state
+    `input_state`, an index (default 0: all qubits in |C+>), and report F_out
+    and, in full mode, the no-leakage probability P_C. They take the Lindblad
+    path in both modes: the σy part of the effective model's flip channel
+    does not commute with S_x, so it mixes the S_x blocks. It keeps the
+    parity sectors, though: ρ stays their direct sum ρ₊ ⊕ ρ₋, is propagated
+    as those two blocks, and is assembled whole only for the metrics. Both
+    report bus_top, a witness of bus truncation: the
     population left in the top bus Fock level at the end (the largest over the
     columns, or the trace of ρ's top-level block). The final state, when the
     run has one (a dissipative run, or a coherent run given `input_state`), is
@@ -398,7 +418,13 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         if mode == "effective":
             u = sx_block_columns(config, schedule)
         else:
-            u = propagate_piecewise(model.generators(schedule), b)
+            # the bus vacuum and |C+⟩ are even and |C−⟩ is odd, so column k
+            # lies in the sector of the parity of k's number of set bits
+            odd = np.array([bin(k).count("1") % 2 for k in range(2**n)])
+            u = np.zeros_like(b)
+            cols = [(idx, b[idx][:, odd == p]) for p, idx in enumerate(model.sectors)]
+            for p, (idx, c) in enumerate(propagate_piecewise(model.generators(schedule), cols)):
+                u[np.ix_(idx, odd == p)] = c
         u = unrotate[:, None] * u
         m = ms_target_matrix(n).conj().T @ (b.conj().T @ u)
         result.propagator = m
@@ -410,10 +436,14 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     else:
         input_state = 0 if input_state is None else input_state
         v = model.basis_vector(input_state)
-        rho = np.outer(v, v.conj())
+        rho = [(idx, np.outer(v[idx], v[idx].conj())) for idx in model.sectors]
         for h, dt in model.generators(schedule):
             rho = evolve_density(h, model.channels, rho, (0.0, dt), check_positivity=False)
-        state = (unrotate[:, None] * rho) * unrotate.conj()[None, :]
+        state = np.zeros((len(v), len(v)), dtype=complex)
+        for idx, block in rho:
+            state[np.ix_(idx, idx)] = block
+        state *= unrotate[:, None]
+        state *= unrotate.conj()[None, :]
         result.bus_top = float(np.trace(state[-rest:, -rest:]).real)
     result.f_out = output_fidelity(state, model, input_state)
     if model.leaks:

@@ -173,9 +173,9 @@ def test_resource_refusal(tmp_path, capsys):
     # the working set of a density run does not
     working_set = _base_doc()
     working_set["config"]["kappa"] = 0.1
-    working_set["resource_ceiling_bytes"] = 10**5
+    working_set["resource_ceiling_bytes"] = 5 * 10**4
     spec = cli.load_spec(_write(tmp_path, working_set))
-    assert cli.estimate_resources(spec).bytes_required == 32**2 * 16 < 10**5
+    assert cli.estimate_resources(spec).bytes_required == 32**2 * 16 < 5 * 10**4
     for doc, needs in ((one_copy, (10 * 25 * 25) ** 2 * 16), (working_set, 32**2 * 16)):
         p = _write(tmp_path, doc)
         assert cli.run(str(p), str(tmp_path / "out")) == cli.EXIT_RESOURCE

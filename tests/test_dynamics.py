@@ -270,6 +270,48 @@ def test_lindblad_series_does_not_depend_on_the_split():
             assert np.abs(rho - whole).max() < 1e-13, (name, parts)
 
 
+def _parity_model():
+    """(H, channels, ρ0, sectors) on 8 levels: Kerr + two-photon drive, loss and dephasing.
+
+    H keeps the photon-number parity, loss swaps the even and odd sectors and
+    dephasing keeps them; ρ0 is a mixed state with its cross blocks cut out.
+    """
+    dim = 8
+    a, n = annihilation((dim,), 0), number_op((dim,), 0)
+    sectors = [np.arange(0, dim, 2), np.arange(1, dim, 2)]
+    rho0 = _mixed_state(dim)
+    rho0[np.ix_(sectors[0], sectors[1])] = rho0[np.ix_(sectors[1], sectors[0])] = 0
+    channels = [CollapseChannel(3.0, SparseOperator(a)), CollapseChannel(2.0, SparseOperator(n))]
+    return h_kerr_single(1.0, 2.0, dim), channels, rho0, sectors
+
+
+def test_sector_lindblad_series_matches_dense_superoperator(monkeypatch):
+    h, channels, rho0, sectors = _parity_model()
+    dt = 0.5
+    calls = []
+    series = dynamics._chebyshev_series
+    monkeypatch.setattr(dynamics, "_chebyshev_series",
+                        lambda *args, **kw: calls.append(1) or series(*args, **kw))
+    blocks = _lindblad_series(h, channels, [(i, rho0[np.ix_(i, i)]) for i in sectors], dt)
+    assert len(calls) >= 2  # sub-steps
+    rho = np.zeros_like(rho0)
+    for idx, block in blocks:
+        rho[np.ix_(idx, idx)] = block
+    assert np.abs(rho - _dense_lindblad_step(h, channels, rho0, dt)).max() < 1e-12
+    # the blocks hold the whole-space series' entries, sum for sum
+    assert np.array_equal(rho, _lindblad_series(h, channels, rho0, dt))
+
+
+def test_whole_space_map_keeps_a_block_diagonal_rho_block_diagonal():
+    # the cross blocks that the sector path never stores stay exactly 0 on the
+    # whole space, in the series and in the term-list path
+    h, channels, rho0, (even, odd) = _parity_model()
+    for rho in (_lindblad_series(h, channels, rho0, 0.5),
+                evolve_density([(h, None)], channels, rho0, (0.0, 0.5))):
+        assert not rho[np.ix_(even, odd)].any() and not rho[np.ix_(odd, even)].any()
+        assert np.abs(rho[np.ix_(odd, odd)]).max() > 0.1
+
+
 def test_evolve_density_term_list_uses_the_same_lindbladian():
     # a term list goes through RK45 with the left-products right-hand side;
     # a static generator written as one goes the same way as the series
@@ -349,9 +391,10 @@ def test_solve_ivp_raises_on_a_nan_right_hand_side():
 
 
 def test_no_scipy_integrate_in_a_fresh_process():
-    # the cli, a pure and a lossy cat-prep ramp, both single-qubit paths and
-    # the Fock and Kerr-level gate models import none of scipy.linalg,
-    # scipy.integrate and the scipy.optimize that scipy.integrate pulls in
+    # the cli, a pure and a lossy cat-prep ramp, both single-qubit paths and a
+    # coherent Fock-basis and a dissipative Kerr-level gate import none of
+    # scipy.linalg, scipy.integrate, the scipy.optimize that scipy.integrate
+    # pulls in, scipy.sparse.linalg and scipy.sparse.csgraph
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -365,10 +408,11 @@ def test_no_scipy_integrate_in_a_fresh_process():
             "    protocols.run_single_qubit_gate(1.0, 2.25, p, use_h_add, t_gate=0.5,\n"
             "                                    omega_c=200.0, dim=12)\n"
             "cfg = GateConfig.from_alpha(1, 1.0, 1.0, 0.1, bus_dim=3, kpo_dim=10)\n"
-            "gates.GateModel.fock(cfg)\n"
-            "gates.GateModel.kerr_levels(cfg.replace(kpo_levels=6))\n"
+            "gates.run_gate(cfg)\n"
+            "gates.run_gate(cfg.replace(kpo_levels=6, kappa=0.1, gamma0=0.1))\n"
             "print(sorted(m for m in sys.modules if m.startswith(\n"
-            "    ('scipy.linalg', 'scipy.integrate', 'scipy.optimize'))))\n")
+            "    ('scipy.linalg', 'scipy.integrate', 'scipy.optimize',\n"
+            "     'scipy.sparse.linalg', 'scipy.sparse.csgraph'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,12 @@
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
 
 from catms import gates, noise
-from catms.dynamics import propagate_piecewise
-from catms.model import GateConfig, Schedule
+from catms.dynamics import evolve_density, propagate_piecewise
+from catms.hilbert import SparseOperator
+from catms.model import CollapseChannel, GateConfig, Schedule
 from catms.states import CatParity, basis_state, single_mode_cat_vector
 
 
@@ -160,13 +161,18 @@ def test_run_gate_rejects_unknown_mode():
 
 def test_parity_conservation_in_coherent_run():
     # the full gate couples KPOs only through photon exchange with the bus,
-    # so the joint photon-number parity of the final state is unchanged
+    # so propagating on the whole space keeps the joint photon-number parity
+    # of each basis column (|C+> even, |C-> odd): run_gate's sector split
+    # relies on it
     cfg = _cfg(n_qubits=1, bus_dim=8, kpo_dim=14)
-    res = gates.run_gate(cfg, mode="full", input_state=0)
-    amps = res.final_state
+    model = gates.GateModel.fock(cfg)
+    b = np.stack([model.basis_vector(k) for k in range(2)], axis=1)
+    sched = Schedule.constant(cfg.delta, cfg.j_coupling, gates.gate_time(cfg))
+    u = propagate_piecewise(model.generators(sched), b)
     parity = (-1) ** np.indices(gates.model_dims(cfg, "full")).sum(axis=0).ravel()
-    odd_weight = float(np.sum(np.abs(amps[parity < 0]) ** 2))
-    assert odd_weight < 1e-10
+    for k, sign in enumerate((1, -1)):
+        wrong_weight = float(np.sum(np.abs(u[parity != sign, k]) ** 2))
+        assert wrong_weight < 1e-10
 
 
 def test_run_gate_full_coherent_pinned():
@@ -219,3 +225,77 @@ def test_sx_blocks_match_piecewise_propagation(n_qubits, monkeypatch):
         assert block.f_avg == pytest.approx(ref.f_avg, abs=1e-12)
         assert block.bus_top == pytest.approx(ref.bus_top, abs=1e-12)
         assert np.abs(block.final_state - ref.final_state).max() < 1e-12
+
+
+def _sector_models():
+    """GateModel.effective, fock and kerr_levels of one small dissipative config."""
+    cfg = _cfg(alpha=1.0, bus_dim=4, kpo_dim=10, kappa=0.1, gamma=0.1, kappa0=0.1, gamma0=0.1)
+    return cfg, [gates.GateModel.effective(cfg), gates.GateModel.fock(cfg),
+                 gates.GateModel.kerr_levels(cfg.replace(kpo_levels=4))]
+
+
+def _nonzero(m) -> bool:
+    return bool(abs(m).sum() > 0)
+
+
+def test_gate_models_keep_their_parity_sectors():
+    cfg, models = _sector_models()
+    sched = gates.plan_detuning_switch(cfg, 0.05)
+    for model in models:
+        even, odd = model.sectors
+        assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(prod(model.dims)))
+        # every basis state lies in exactly one sector, that of its number of |C->
+        for k in range(2**cfg.n_qubits):
+            v = model.basis_vector(k)
+            inside = [bool(np.abs(v[idx]).sum() > 0) for idx in model.sectors]
+            assert inside == [bin(k).count("1") % 2 == 0, bin(k).count("1") % 2 == 1]
+        # the segment generators have no cross-sector entries
+        for h, _ in model.generators(sched):
+            assert not _nonzero(h[even][:, odd]) and not _nonzero(h[odd][:, even])
+            assert _nonzero(h[even][:, even]) and _nonzero(h[odd][:, odd])
+        # every channel keeps the parity or flips it, never both: loss (and
+        # the effective flip) flips it, dephasing keeps it
+        kinds = []
+        for ch in model.channels:
+            o = ch.op.matrix
+            keeps = _nonzero(o[even][:, even]) or _nonzero(o[odd][:, odd])
+            flips = _nonzero(o[odd][:, even]) or _nonzero(o[even][:, odd])
+            assert keeps != flips
+            kinds.append("flip" if flips else "keep")
+        per_kpo = ["flip"] if model is models[0] else ["flip", "keep"]
+        assert kinds == ["flip", "keep"] + per_kpo * cfg.n_qubits
+
+
+def test_sector_split_rejects_a_mixing_operator():
+    cfg, models = _sector_models()
+    model = models[1]
+    v = model.basis_vector(0)
+    rho = [(idx, np.outer(v[idx], v[idx].conj())) for idx in model.sectors]
+    h, dt = model.generators(Schedule.constant(cfg.delta, cfg.j_coupling, 0.01))[0]
+    loss, dephasing = model.channels[0].op.matrix, model.channels[1].op.matrix
+    mixed = CollapseChannel(0.1, SparseOperator((loss + dephasing).tocsr()))
+    with pytest.raises(ValueError, match="both within and across"):
+        evolve_density(h, [mixed], rho, (0.0, dt))
+    with pytest.raises(ValueError, match="both within and across"):
+        evolve_density((h + loss + loss.conj().T).tocsr(), [], rho, (0.0, dt))
+    cols = [(idx, v[idx][:, None]) for idx in model.sectors]
+    with pytest.raises(ValueError, match="swaps the sectors"):
+        propagate_piecewise([((loss + loss.conj().T).tocsr(), dt)], cols)
+
+
+def test_coherent_full_run_matches_whole_space_propagation():
+    # run_gate propagates each basis column under its own sector's block of
+    # the generators, with the block's own Chebyshev interval; the reference
+    # propagates the columns on the whole space
+    cfg = _cfg(n_qubits=2, bus_dim=6, kpo_dim=16)
+    sched = gates.plan_detuning_switch(cfg, 0.05)
+    levels = cfg.replace(kpo_dim=22, kpo_levels=6)
+    for model_cfg, model in ((cfg, gates.GateModel.fock(cfg)),
+                             (levels, gates.GateModel.kerr_levels(levels))):
+        b = np.stack([model.basis_vector(k) for k in range(4)], axis=1)
+        u = propagate_piecewise(model.generators(sched), b)
+        u *= np.exp(1j * sched.phase(sched.t_end) * model.n0.diagonal().real)[:, None]
+        m = gates.ms_target_matrix(2).conj().T @ (b.conj().T @ u)
+        res = gates.run_gate(model_cfg, schedule=sched, input_state=1)
+        assert np.abs(res.propagator - m).max() < 1e-12
+        assert np.abs(res.final_state - u[:, 1]).max() < 1e-12
