@@ -457,7 +457,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """One record per grid point, in the order of spec.grid_points()."""
     points = list(spec.grid_points())
     if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # under fork, the pool starts all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             return list(pool.map(compute_record, [spec] * len(points), points))
     return [compute_record(spec, p) for p in points]
 

@@ -13,8 +13,8 @@ Static and time-dependent generators take different paths:
   _lindblad_series. The gate runner propagates a coherent full-mode gate with
   propagate_piecewise and every segment of a dissipative gate with
   evolve_density. A coherent effective-mode gate needs neither: its generator
-  commutes with S_x, so gates.sx_block_columns propagates it as N+1 small bus
-  blocks.
+  commutes with S_x, so gates.sx_block_columns propagates it as small bus
+  blocks, one per S_x = s > 0.
 - A term list (the cat-prep ramp) is integrated by Dormand–Prince 5(4),
   SciPy's RK45 rules, in `dynamics` (solve_ivp), at the tolerances RTOL and
   ATOL: evolve_state for a pure state, evolve_density for a lossy ramp.
@@ -114,7 +114,8 @@ def evolve_density(h, collapse_channels, rho0, t_span,
                                   float(t_span[1]) - float(t_span[0]))
     else:
         terms = _terms(h)
-        decay, finish = _left_products(collapse_channels, 1.0, sectors)
+        products = _decay_products(collapse_channels)
+        decay, finish = _left_products(collapse_channels, products, 1.0, sectors)
         terms = [(_generator_blocks(m, sectors), f) for m, f in terms + [(decay, None)]]
 
         def rhs(t, y):
@@ -204,7 +205,12 @@ def _views(y: np.ndarray, sectors) -> list:
     return views
 
 
-def _left_products(collapse_channels, scale: float, sectors):
+def _decay_products(collapse_channels) -> list:
+    """o_k†o_k of every channel, o_k = ch.op.matrix, as CSR matrices."""
+    return [ch.op.matrix.conj().T @ ch.op.matrix for ch in collapse_channels]
+
+
+def _left_products(collapse_channels, products, scale: float, sectors):
     """The channel terms of scale·𝓛 in left-products form, for Hermitian ρ.
 
     With H_eff = H − (i/2)Σ r_k o_k†o_k and X = H_eff·ρ,
@@ -212,7 +218,8 @@ def _left_products(collapse_channels, scale: float, sectors):
         𝓛ρ = −iX + (−iX)† + Σ r_k o_k(o_kρ)†,
 
     which needs no product ρ·o from the right. The form is right only for a
-    Hermitian ρ, where (o_kρ)† = ρo_k†.
+    Hermitian ρ, where (o_kρ)† = ρo_k†. `products` holds the o_k†o_k
+    (_decay_products), which the caller forms once.
 
     ρ is block-diagonal over `sectors`, and each o_k keeps them or swaps the
     two (_sector_blocks). So o_k†o_k keeps them, the jump term takes ρ_s to
@@ -229,10 +236,9 @@ def _left_products(collapse_channels, scale: float, sectors):
     dim = sum(len(idx) for idx in sectors)
     decay = sp.csr_matrix((dim, dim), dtype=complex)
     jumps, bufs = [], {}
-    for ch in collapse_channels:
-        o = ch.op.matrix
-        decay = decay + (-0.5j * ch.rate) * (o.conj().T @ o)
-        for s, t, block in _sector_blocks(np.sqrt(scale * ch.rate / 2) * o, sectors):
+    for ch, odo in zip(collapse_channels, products):
+        decay = decay + (-0.5j * ch.rate) * odo
+        for s, t, block in _sector_blocks(np.sqrt(scale * ch.rate / 2) * ch.op.matrix, sectors):
             jumps.append((s, t, block))
             bufs.setdefault(block.shape[::-1], np.empty(block.shape[::-1], dtype=complex))
     size = sum(len(idx) ** 2 for idx in sectors)
@@ -506,8 +512,8 @@ def _lindblad_series(h, collapse_channels, rho0, dt: float):
     blocks = _sectors(rho0)
     sectors = [idx for idx, _ in blocks]
     lo, hi = _gershgorin(h)
-    g = sum(ch.rate * abs(ch.op.matrix.conj().T @ ch.op.matrix).sum(axis=1).max()
-            for ch in collapse_channels)
+    products = _decay_products(collapse_channels)
+    g = sum(ch.rate * abs(odo).sum(axis=1).max() for ch, odo in zip(collapse_channels, products))
     w = (hi - lo) + 4 * g
     y = _flat(blocks)
     if w != 0:  # else H = c·I and no channels: 𝓛 = 0
@@ -517,7 +523,7 @@ def _lindblad_series(h, collapse_channels, rho0, dt: float):
             margin = np.arcsinh(2 * delta / np.sqrt(1 - a * a))
             bound = np.cosh(margin) / delta
         n_sub = max(1, int(np.ceil(margin * w * dt / np.log(100))))
-        decay, finish = _left_products(collapse_channels, 2 / w, sectors)
+        decay, finish = _left_products(collapse_channels, products, 2 / w, sectors)
         k_eff = _generator_blocks((-2j / w) * (h + decay), sectors)  # −(2i/w)·H_eff
 
         def two_b(x):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -39,25 +40,23 @@ def loop_trajectory(schedule: Schedule, alpha: float, t: float) -> tuple[complex
 
     χ follows dχ/dt = 2J(t)α e^{iφ(t)} with the accumulated phase φ = ∫Δ;
     β is the exact double-integral geometric phase, accumulated analytically
-    per segment.
+    per segment. Every segment that starts before t adds its closed-form
+    increments, computed for all segments at once; the sums run in segment
+    order (np.cumsum), as a loop over the segments would add them.
     """
-    chi_acc = 0.0 + 0.0j
-    beta_acc = 0.0
-    for t0, t1, d, j, phi0 in schedule.segments():
-        if t <= t0:
-            break
-        u = min(t, t1) - t0
-        g = 2.0 * j * alpha * np.exp(1j * phi0)
-        if abs(d) < 1e-14:
-            beta_acc += float(np.imag(np.conj(g) * chi_acc)) * u
-            chi_acc = chi_acc + g * u
-        else:
-            beta_acc += float(
-                np.imag(np.conj(g) * chi_acc * (1.0 - np.exp(-1j * d * u)) / (1j * d))
-            )
-            beta_acc += (abs(g) ** 2 / d) * (np.sin(d * u) / d - u)
-            chi_acc = chi_acc + g * (np.exp(1j * d * u) - 1.0) / (1j * d)
-    return complex(chi_acc), float(beta_acc)
+    k = int(np.searchsorted(schedule.times[:-1], t, side="left"))  # segments with t0 < t
+    u = np.minimum(t, schedule.times[1:k + 1]) - schedule.times[:k]
+    g = 2.0 * schedule.j_coupling[:k] * alpha * np.exp(1j * schedule._phase_bp[:k])
+    flat = np.abs(schedule.delta[:k]) < 1e-14
+    d = np.where(flat, 1.0, schedule.delta[:k])  # Δ = 0 takes the u-linear forms
+    chi_acc = np.cumsum(np.concatenate(
+        [[0j], np.where(flat, g * u, g * (np.exp(1j * d * u) - 1.0) / (1j * d))]))
+    chi_prev = chi_acc[:-1]  # χ at the start of each segment
+    cross = np.where(flat, np.imag(np.conj(g) * chi_prev) * u,
+                     np.imag(np.conj(g) * chi_prev * (1.0 - np.exp(-1j * d * u)) / (1j * d)))
+    own = np.where(flat, 0.0, (np.abs(g) ** 2 / d) * (np.sin(d * u) / d - u))
+    beta_acc = np.cumsum(np.concatenate([[0.0], np.column_stack([cross, own]).ravel()]))
+    return complex(chi_acc[-1]), float(beta_acc[-1])
 
 
 # --- S_x blocks and closed-form propagators ----------------------------------------
@@ -100,27 +99,53 @@ def ms_unitary(config: GateConfig, chi_val: complex, beta_val: float) -> np.ndar
                for s, p in sx_blocks(config.n_qubits))
 
 
+# Segments per batched eigh in sx_block_columns: the stack holds at most
+# _SEGMENT_CHUNK·⌊(N+1)/2⌋ matrices of bus_dim × bus_dim, whatever the
+# number of segments.
+_SEGMENT_CHUNK = 256
+
+
 def sx_block_columns(config: GateConfig, schedule: Schedule) -> np.ndarray:
     """Π_k exp(−iH_k dt_k) applied to the columns |0⟩_bus ⊗ |q⟩ of GateModel.effective.
 
     Every segment generator Δ·n0 + 2Jα S_x(a0 + a0†) commutes with S_x, so on
     the S_x = s subspace it is the real-symmetric bus block
     H_s = Δ·n + 2Jα s(a + a†) of size bus_dim (Sørensen & Mølmer, PRA 62,
-    022311 (2000)). Each segment diagonalises the N+1 blocks together and
-    propagates their bus vacua; the columns, in basis-state order, are
-    Σ_s (U_s|0⟩) ⊗ P_s. The result is exact in the truncated bus.
+    022311 (2000)), and the columns, in basis-state order, are
+    Σ_s (U_s|0⟩) ⊗ P_s with U_s the product of the blocks' propagators.
+
+    Only the blocks with s > 0 are propagated. The bus parity P = (−1)^n
+    commutes with n and anticommutes with a + a†, so P·H_s·P = H_{−s} and
+    U_{−s} = P·U_s·P; as P|0⟩ = |0⟩, U_{−s}|0⟩ = P·U_s|0⟩. The s = 0 block
+    Δ·n is diagonal and gives the vacuum the eigenvalue 0, so U_0|0⟩ = |0⟩.
+
+    One np.linalg.eigh diagonalises the positive blocks of _SEGMENT_CHUNK
+    segments at a time, and their vacua are chained through the segments as
+    ψ ← v·(e^{−iw·dt}·(vᵀψ)). The result is exact in the truncated bus.
     """
     dim = config.bus_dim
     x = annihilation((dim,), 0).toarray().real
     n = np.diag(np.arange(float(dim)))
     blocks = sx_blocks(config.n_qubits)
-    coupling = (2.0 * config.alpha) * np.array([s for s, _ in blocks])[:, None, None] * (x + x.T)
-    psi = np.zeros((len(blocks), dim, 1), dtype=complex)
+    spins = [s for s, _ in blocks if s > 0]
+    coupling = (2.0 * config.alpha) * np.array(spins)[:, None, None] * (x + x.T)
+    dt = np.diff(schedule.times)
+    psi = np.zeros((len(spins), dim, 1), dtype=complex)
     psi[:, 0] = 1.0
-    for t0, t1, d, j, _ in schedule.segments():
-        w, v = np.linalg.eigh(d * n + j * coupling)
-        psi = v @ (np.exp(-1j * (t1 - t0) * w)[:, :, None] * (v.transpose(0, 2, 1) @ psi))
-    return sum(np.kron(col, p) for col, (_, p) in zip(psi, blocks))
+    for start in range(0, len(dt), _SEGMENT_CHUNK):
+        seg = slice(start, start + _SEGMENT_CHUNK)
+        h = (schedule.delta[seg, None, None, None] * n
+             + schedule.j_coupling[seg, None, None, None] * coupling)
+        w, v = np.linalg.eigh(h)
+        for vk, phase in zip(v, np.exp(-1j * dt[seg, None, None] * w)):
+            psi = vk @ (phase[:, :, None] * (vk.transpose(0, 2, 1) @ psi))
+    vacuum = np.zeros((dim, 1), dtype=complex)
+    vacuum[0] = 1.0
+    parity = (-1.0) ** np.arange(dim)[:, None]
+    cols = {0.0: vacuum}
+    for s, col in zip(spins, psi):
+        cols[s], cols[-s] = col, parity * col
+    return sum(np.kron(cols[s], p) for s, p in blocks)
 
 
 # --- fidelity and leakage metrics -------------------------------------------------
@@ -274,26 +299,44 @@ class GateModel:
     KPOs' kpo_odd. The generator keeps it; of the channels, dephasing keeps
     it and every loss or flip swaps it. `sectors` holds the even and the odd
     indices, the sectors (dynamics._sectors) that run_gate propagates apart.
+
+    n0, h_rest, c and channels are built on first use: a coherent effective
+    run (sx_block_columns) reads none of them.
     """
 
     def __init__(self, config: GateConfig, mode: str, h1, k1, kpo_channels, cats, kpo_odd):
         self.dims = dims = model_dims(config, mode)
         self.cats = cats
         self.leaks = mode != "effective"
-        a0, self.n0 = annihilation(dims, 0), number_op(dims, 0)
-        kpos = range(1, config.n_qubits + 1)
-        self.h_rest = sum(tensor_embed(h1, dims, n) for n in kpos).tocsr()
-        crosses = [tensor_embed(k1, dims, n) @ a0.conj().T for n in kpos]
-        self.c = sum(x + x.conj().T for x in crosses).tocsr()
-        bus = [(config.kappa0, a0), (config.gamma0, self.n0)]
-        self.channels = [CollapseChannel(r, SparseOperator(op)) for r, op in bus if r > 0] + [
-            CollapseChannel(r, SparseOperator(tensor_embed(op, dims, n)))
-            for n in kpos for r, op in kpo_channels if r > 0
-        ]
+        self._config, self._h1, self._k1, self._kpo_channels = config, h1, k1, kpo_channels
+        self._kpos = range(1, config.n_qubits + 1)
         self.parity = np.arange(dims[0]) % 2
-        for _ in kpos:
+        for _ in self._kpos:
             self.parity = (self.parity[:, None] ^ np.asarray(kpo_odd, dtype=int)).ravel()
         self.sectors = [np.flatnonzero(self.parity == p) for p in (0, 1)]
+
+    @cached_property
+    def n0(self) -> sp.csr_matrix:
+        return number_op(self.dims, 0)
+
+    @cached_property
+    def h_rest(self) -> sp.csr_matrix:
+        return sum(tensor_embed(self._h1, self.dims, n) for n in self._kpos).tocsr()
+
+    @cached_property
+    def c(self) -> sp.csr_matrix:
+        a0 = annihilation(self.dims, 0)
+        crosses = [tensor_embed(self._k1, self.dims, n) @ a0.conj().T for n in self._kpos]
+        return sum(x + x.conj().T for x in crosses).tocsr()
+
+    @cached_property
+    def channels(self) -> list[CollapseChannel]:
+        cfg, dims = self._config, self.dims
+        bus = [(cfg.kappa0, annihilation(dims, 0)), (cfg.gamma0, self.n0)]
+        return [CollapseChannel(r, SparseOperator(op)) for r, op in bus if r > 0] + [
+            CollapseChannel(r, SparseOperator(tensor_embed(op, dims, n)))
+            for n in self._kpos for r, op in self._kpo_channels if r > 0
+        ]
 
     @classmethod
     def effective(cls, config: GateConfig) -> GateModel:
@@ -374,7 +417,8 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     Coherent runs (all decay rates zero) propagate the full computational basis
     as one block of columns and report the average gate fidelity. In
     effective mode the generator commutes with S_x, so sx_block_columns
-    propagates N+1 bus blocks; in full mode propagate_piecewise applies each
+    propagates the bus vacuum of each S_x = s > 0 block, from which the
+    s ≤ 0 columns follow; in full mode propagate_piecewise applies each
     segment's exponential by its Chebyshev expansion, to each basis column
     under the block of its own parity sector (GateModel.sectors), which has
     half the rows. Dissipative runs evolve the density matrix of basis state
@@ -405,10 +449,11 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         model = GateModel.fock(config)
     else:
         model = GateModel.kerr_levels(config)
-    unrotate = np.exp(1j * schedule.phase(t_end) * model.n0.diagonal().real)
     n = config.n_qubits
-    # the bus is the leading mode, so its top Fock level is the last `rest` rows
+    # the bus is the leading mode: basis index i has i // rest bus photons, and
+    # the top Fock level is the last `rest` rows
     rest = prod(model.dims[1:])
+    unrotate = np.exp(1j * schedule.phase(t_end) * (np.arange(prod(model.dims)) // rest))
 
     decohering = any(
         r > 0 for r in (config.kappa0, config.gamma0, config.kappa, config.gamma)

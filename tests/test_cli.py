@@ -163,6 +163,25 @@ def test_workers_do_not_change_results(tmp_path):
     assert _without_runtime(a) == _without_runtime(b)
 
 
+def test_pool_is_clamped_to_the_grid(tmp_path, monkeypatch):
+    # under fork, a pool starts all of its max_workers processes at the first
+    # submit, so a 2-point grid must not open 8 of them
+    spec = cli.load_spec(_write(tmp_path, _base_doc()))
+    opened = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    pooled = cli.run_experiment(spec, workers=8)
+    serial = cli.run_experiment(spec, workers=1)
+    assert opened == [2]
+    assert [{k: v for k, v in r.items() if k != "runtime_s"} for r in pooled] == \
+        [{k: v for k, v in r.items() if k != "runtime_s"} for r in serial]
+
+
 def test_resource_refusal(tmp_path, capsys):
     one_copy = _base_doc(mode="full")
     one_copy["config"]["kpo_dim"] = 25

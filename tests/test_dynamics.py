@@ -391,15 +391,16 @@ def test_solve_ivp_raises_on_a_nan_right_hand_side():
 
 
 def test_no_scipy_integrate_in_a_fresh_process():
-    # the cli, a pure and a lossy cat-prep ramp, both single-qubit paths and a
-    # coherent Fock-basis and a dissipative Kerr-level gate import none of
+    # the cli, a pure and a lossy cat-prep ramp, both single-qubit paths, a
+    # coherent Fock-basis gate, a dissipative Kerr-level gate and a 1000-event
+    # noisy effective gate (sx_block_columns' batched eigh) import none of
     # scipy.linalg, scipy.integrate, the scipy.optimize that scipy.integrate
     # pulls in, scipy.sparse.linalg and scipy.sparse.csgraph
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys\n"
-            "from catms import cli, gates, protocols\n"
+            "from catms import cli, gates, noise, protocols\n"
             "from catms.model import GateConfig\n"
             "protocols.run_cat_prep(1.0, 1.0, 0.5, dim=8)\n"
             "protocols.run_cat_prep(1.0, 1.0, 0.5, kappa=0.1, dim=8)\n"
@@ -410,6 +411,11 @@ def test_no_scipy_integrate_in_a_fresh_process():
             "cfg = GateConfig.from_alpha(1, 1.0, 1.0, 0.1, bus_dim=3, kpo_dim=10)\n"
             "gates.run_gate(cfg)\n"
             "gates.run_gate(cfg.replace(kpo_levels=6, kappa=0.1, gamma0=0.1))\n"
+            "cfg = GateConfig.from_alpha(2, 1.0, 1.0, 0.1, bus_dim=6, kpo_dim=10)\n"
+            "spec = noise.StochasticNoiseSpec(eps_s=0.1, seed=1, n_events=1000,\n"
+            "                                 targets=('J', 'delta'))\n"
+            "gates.run_gate(cfg, noise.noisy_schedule(cfg, spec, gates.gate_time(cfg)),\n"
+            "               mode='effective')\n"
             "print(sorted(m for m in sys.modules if m.startswith(\n"
             "    ('scipy.linalg', 'scipy.integrate', 'scipy.optimize',\n"
             "     'scipy.sparse.linalg', 'scipy.sparse.csgraph'))))\n")

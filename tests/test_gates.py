@@ -202,13 +202,16 @@ def _piecewise_columns(config, schedule):
     return propagate_piecewise(model.generators(schedule), b)
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
 def test_sx_blocks_match_piecewise_propagation(n_qubits, monkeypatch):
     # the S_x-block path against the Chebyshev propagator on the whole-space
     # generators: both are exact in the truncated bus, so they agree to
-    # round-off (4e-15 at most here)
-    cfg = _cfg(n_qubits=n_qubits)
-    spec = noise.StochasticNoiseSpec(eps_s=0.1, seed=3, n_events=50, targets=("J", "delta"))
+    # round-off (8e-15 at most here). N = 4 has an s = 0 block and two s > 0
+    # blocks, the gate runs two loops, and the noisy schedule spans more than
+    # one eigh chunk
+    cfg = _cfg(n_qubits=n_qubits, m_loops=2)
+    spec = noise.StochasticNoiseSpec(eps_s=0.1, seed=3, n_events=gates._SEGMENT_CHUNK + 50,
+                                     targets=("J", "delta"))
     schedules = [
         noise.noisy_schedule(cfg, spec, gates.gate_time(cfg)),
         gates.plan_detuning_switch(cfg, 0.05),
@@ -225,6 +228,47 @@ def test_sx_blocks_match_piecewise_propagation(n_qubits, monkeypatch):
         assert block.f_avg == pytest.approx(ref.f_avg, abs=1e-12)
         assert block.bus_top == pytest.approx(ref.bus_top, abs=1e-12)
         assert np.abs(block.final_state - ref.final_state).max() < 1e-12
+
+
+def _sequential_trajectory(schedule, alpha, t):
+    """(χ, β) at t by one closed-form step per segment, in a Python loop."""
+    chi_acc = 0.0 + 0.0j
+    beta_acc = 0.0
+    for t0, t1, d, j, phi0 in schedule.segments():
+        if t <= t0:
+            break
+        u = min(t, t1) - t0
+        g = 2.0 * j * alpha * np.exp(1j * phi0)
+        if abs(d) < 1e-14:
+            beta_acc += float(np.imag(np.conj(g) * chi_acc)) * u
+            chi_acc = chi_acc + g * u
+        else:
+            beta_acc += float(
+                np.imag(np.conj(g) * chi_acc * (1.0 - np.exp(-1j * d * u)) / (1j * d))
+            )
+            beta_acc += (abs(g) ** 2 / d) * (np.sin(d * u) / d - u)
+            chi_acc = chi_acc + g * (np.exp(1j * d * u) - 1.0) / (1j * d)
+    return complex(chi_acc), float(beta_acc)
+
+
+def test_loop_trajectory_matches_a_sequential_loop():
+    # NumPy's vectorised complex products round apart from its scalar ones
+    # by an ulp at most, and the sums run in the loop's order, so the two
+    # agree to a few ulp
+    cfg = _cfg()
+    rng = np.random.default_rng(7)
+    delta = rng.normal(cfg.delta, 0.2 * cfg.delta, 40)
+    delta[::5] = 0.0
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 40))])
+    times *= gates.gate_time(cfg) / times[-1]
+    sched = Schedule(times, delta, rng.normal(cfg.j_coupling, 0.1 * cfg.j_coupling, 40))
+    for t in (0.0, times[1], times[17], 0.5 * (times[5] + times[6]), times[10] + 1e-9,
+              sched.t_end):
+        chi_v, beta_v = gates.loop_trajectory(sched, cfg.alpha, t)
+        chi_s, beta_s = _sequential_trajectory(sched, cfg.alpha, t)
+        assert abs(chi_v - chi_s) <= 1e-14 * max(1.0, abs(chi_s))
+        assert abs(beta_v - beta_s) <= 1e-14
+    assert gates.loop_trajectory(sched, cfg.alpha, 0.0) == (0j, 0.0)
 
 
 def _sector_models():
