@@ -58,12 +58,14 @@ RAMP_WORKING_SET = 19
 The ramp runs under dynamics.solve_ivp, which holds 9.5 copies throughout
 (7 stage rows, y, f and half a copy for the error scale) and 3 more during
 a step (the stage input y + dy, and y_new and f_new, which stay bound while
-a rejected step is retried). The caller holds ρ0, and the Lindblad
-right-hand side its conjugate-transpose buffer and up to 3 temporaries, so
-17.5 in all. tracemalloc measured peaks of 18.3 × one copy over a whole
-run_cat_prep (K = 1, α = 2, t0 = 1.7, κ = γ = 0.02) at dim 30, 18.1 × at
-dim 60 and 17.8 × at dim 90; the rest is the sparse operators and small
-objects.
+a rejected step is retried). The caller holds ρ0 and the flat copy that it
+hands to the stepper, and the Lindblad right-hand side its
+conjugate-transpose buffer and up to 3 temporaries, so 18.5 in all.
+tracemalloc measured peaks of 22.1 × one copy over a whole run_cat_prep
+(K = 1, α = 2, t0 = 1.7, κ = γ = 0.02) at dim 30, 19.5 × at dim 60 and
+19.1 × at dim 90. 18.8 copies and a fixed 48 kB (the sparse operators and
+small objects) fit all three within 0.1 copy, so 19 copies bound the large
+dims where the guard can refuse a run.
 """
 
 _GATE_KEYS = frozenset({"n_qubits", "kerr", "alpha", "omega_p", "j_coupling", "delta",
@@ -84,7 +86,8 @@ every kind, since it fills the `seed` column."""
 KINDS = tuple(GRID_KEYS)
 
 METRIC_COLUMNS = ("t_g", "f_avg", "f_out", "p_c", "chi_residual", "beta_total",
-                  "bus_top", "josephson_trunc", "runtime_s", "seed", "error")
+                  "bus_top", "josephson_trunc", "leakage", "rotation_error", "ramp_margin",
+                  "runtime_s", "seed", "error")
 
 
 class ConfigError(ValueError):
@@ -439,12 +442,14 @@ def _metrics_record(spec: ExperimentSpec, point: dict) -> dict:
     if spec.kind == "cat_prep":
         res = protocols.run_cat_prep(**_cat_prep_args(spec, point))
         rec["f_out"] = res.fidelity
-        rec["p_c"] = res.margin
+        rec["ramp_margin"] = res.margin
     elif spec.kind == "single_qubit":
         args = _single_qubit_args(spec, point)
         res = protocols.run_single_qubit_gate(**args)
         rec["t_g"] = args["t_gate"]
         rec["f_avg"] = res.fidelity
+        rec["leakage"] = res.leakage
+        rec["rotation_error"] = res.rotation_error
         if res.josephson_trunc is not None:
             rec["josephson_trunc"] = res.josephson_trunc
     else:

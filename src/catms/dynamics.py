@@ -18,6 +18,10 @@ Static and time-dependent generators take different paths:
 - A term list (the cat-prep ramp) is integrated by Dormand–Prince 5(4),
   SciPy's RK45 rules, in `dynamics` (solve_ivp), at the tolerances RTOL and
   ATOL: evolve_state for a pure state, evolve_density for a lossy ramp.
+  Both hold −i·H(t), with the decay −(i/2)Σ r_k o_k†o_k as one more static
+  term of a lossy ramp, as one CSR matrix per sector (_term_operator), whose
+  entries each right-hand-side call rewrites for its t: one sparse product
+  per sector and call, whatever the number of terms.
 Both Lindblad paths apply 𝓛 in the same left-products form (_left_products).
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
@@ -56,35 +60,60 @@ def _terms(h) -> list:
     """(matrix, f) pairs of H(t) = Σ f_k(t)·H_k; f_k is None for a static term.
 
     h is a term list [(H_k, f_k), …] of CSR matrices and scalar functions of
-    t, or a bare CSR matrix, which is one static term.
+    t, or a bare CSR matrix, which is one static term. The integrators do not
+    sum the terms' products: _term_operator stacks the terms into one CSR
+    matrix per sector, so a right-hand side makes one product per sector.
     """
     return [(h, None)] if sp.issparse(h) else list(h)
 
 
-def _term_sum(terms, t, apply):
-    """Σ f_k(t)·apply(H_k); apply must return a fresh array."""
-    total = None
-    for m, f in terms:
-        v = apply(m)
-        if f is not None:
-            v *= f(t)
-        if total is None:
-            total = v
-        else:
-            total += v
-    return total
+def _term_operator(terms, sectors):
+    """at(t) -> [Σ f_k(t)·H_k[I_s, I_s] for each sector s], one CSR matrix each.
+
+    Each sector's matrix is built once, on the union of the terms' sparsity
+    patterns in its block (_generator_blocks), and row k of its array D holds
+    the entries of term k at those positions, 0 where the term has none.
+    at(t) writes f(t)·D, with f_k = 1 for a static term, into the matrices'
+    data and returns them, so a product with H(t) costs one sparse product
+    per sector whatever the number of terms. The matrices are rewritten in
+    place by the next call.
+    """
+    fs = [f for _, f in terms]
+    blocks = [_generator_blocks(m, sectors) for m, _ in terms]
+    mats, ds = [], []
+    for s, idx in enumerate(sectors):
+        n = len(idx)
+        coos = [b[s].tocoo() for b in blocks]
+        keys = [c.row.astype(np.int64) * n + c.col for c in coos]  # row-major positions
+        union = np.unique(np.concatenate(keys))
+        d = np.zeros((len(terms), union.size), dtype=complex)
+        for row, c, key in zip(d, coos, keys):
+            np.add.at(row, np.searchsorted(union, key), c.data)
+        rows, cols = np.divmod(union, n)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        mats.append(sp.csr_matrix((d[0].copy(), cols, indptr), shape=(n, n)))
+        ds.append(d)
+
+    def at(t):
+        coef = np.array([1.0 if f is None else f(t) for f in fs])
+        for m, d in zip(mats, ds):
+            np.matmul(coef, d, out=m.data)
+        return mats
+
+    return at
 
 
 def evolve_state(h, psi0: np.ndarray, t_span) -> np.ndarray:
     """Integrate i dψ/dt = H(t) ψ from the vector psi0 and return ψ at the end of t_span.
 
-    h is a CSR matrix or a term list (see _terms). A norm drift above
-    1e-6 is warned about.
+    h is a CSR matrix or a term list (see _terms); −i·H(t) is one CSR matrix
+    (_term_operator). A norm drift above 1e-6 is warned about.
     """
     terms = _terms(h)
+    generator = _term_operator([(-1j * m, f) for m, f in terms], [np.arange(len(psi0))])
 
     def rhs(t, y):
-        return -1j * _term_sum(terms, t, lambda m: m @ y)
+        return generator(t)[0] @ y
 
     v = solve_ivp(rhs, psi0, t_span, time_dependent=any(f is not None for _, f in terms))
     drift = abs(np.linalg.norm(v) - 1.0)
@@ -116,15 +145,12 @@ def evolve_density(h, collapse_channels, rho0, t_span,
         terms = _terms(h)
         products = _decay_products(collapse_channels)
         decay, finish = _left_products(collapse_channels, products, 1.0, sectors)
-        terms = [(_generator_blocks(m, sectors), f) for m, f in terms + [(decay, None)]]
+        # −i·H_eff(t), the decay as one more static term
+        generator = _term_operator([(-1j * m, f) for m, f in terms + [(decay, None)]], sectors)
 
         def rhs(t, y):
-            rhos, ps = _views(y, sectors), []
-            for s, rho in enumerate(rhos):
-                p = _term_sum(terms, t, lambda m: m[s] @ rho)
-                p *= -1j
-                ps.append(p)
-            return finish(ps, rhos)
+            rhos = _views(y, sectors)
+            return finish([k @ rho for k, rho in zip(generator(t), rhos)], rhos)
 
         v = solve_ivp(rhs, _flat(blocks), t_span,
                       time_dependent=any(f is not None for _, f in terms))

@@ -271,7 +271,11 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
     a† e^{iω_c t})] (φ_a = 2α) makes H(t) periodic with T = 2π/ω_c.
     Fixed-step RK4, n_steps_per_cycle steps per period, integrates the
     propagator over one period and over the remainder r = t − nT, and
-    U(t) = U(r)·U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)).
+    U(t) = U(r)·U(T)^n (Shirley, Phys. Rev. 138, B979 (1965)). In the Fock
+    basis the drive is C∘e^{iω_c t(n_i − n_j)}, with C = cos(φ_a(a + a†))
+    from one eigh, so each right-hand-side call forms the dense
+    −iH(t) = −i·h0 + (−iξ_J)·C∘e^{iω_c t(n_i − n_j)} and applies it to the
+    propagator's columns in one matrix product.
 
     The Josephson path also reports josephson_trunc, |s/s_∞ − 1| for the
     splitting s = Σ Ō_nn(|C+_n|² − |C−_n|²) of the truncated carrier average
@@ -313,12 +317,16 @@ def run_single_qubit_gate(kerr: float, omega_p: float, params: SingleQubitParams
         w, vecs = np.linalg.eigh(x)
         cos_x = (vecs * np.cos(w)) @ vecs.conj().T  # cos(phi_a (a + a†))
         n_diag = np.arange(dim)
-        xi_j = params.xi_j
+        k0 = -1j * h0.toarray()
+        k_j = (-1j * params.xi_j) * cos_x
 
         def rhs(t, y):
+            # −iH(t) = −i·h0 + (−iξ_J)·C∘e^{iω_c t(n_i − n_j)}, applied in one product
             rot = np.exp(1j * omega_c * t * n_diag)
-            add = rot[:, None] * (cos_x @ (rot.conj()[:, None] * y))
-            return -1j * (h0 @ y + xi_j * add)
+            k = np.multiply.outer(rot, rot.conj())
+            k *= k_j
+            k += k0
+            return k @ y
 
         period = 2.0 * np.pi / omega_c
         dt = period / n_steps_per_cycle

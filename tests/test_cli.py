@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catms import cli, gates
+from catms import cli, gates, protocols
 
 
 def _write(tmp_path: Path, doc: dict, name: str = "exp.json") -> Path:
@@ -440,6 +440,24 @@ def test_non_gate_rows_leave_bus_top_empty(tmp_path):
     with open(tmp_path / "out" / "out.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["f_out"] != "" and row["bus_top"] == "" and row["josephson_trunc"] == ""
+    # the ramp's margin has a column of its own, and P_C is left empty
+    margin = protocols.ramp_margin(1.0, protocols.CatPrepSchedule(1.0, 1.0))
+    assert row["p_c"] == "" and float(row["ramp_margin"]) == margin
+    assert row["leakage"] == row["rotation_error"] == ""
+
+
+def test_single_qubit_rows_split_their_infidelity(tmp_path):
+    # 1 − F̄ = ℓ + (1 − ℓ)·rotation_error, with both parts in the row
+    doc = _single_mode_doc("single_qubit", {"dim": 16}, {"target": ["hadamard", "not"]})
+    assert cli.run(str(_write(tmp_path, doc)), str(tmp_path / "out")) == cli.EXIT_OK
+    with open(tmp_path / "out" / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        f, leak, rot = (float(row[k]) for k in ("f_avg", "leakage", "rotation_error"))
+        assert leak > 1e-6 and rot >= 0.0
+        assert 1.0 - f == pytest.approx(leak + (1.0 - leak) * rot, abs=1e-12)
+        assert row["ramp_margin"] == row["p_c"] == ""
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -322,6 +322,56 @@ def test_evolve_density_term_list_uses_the_same_lindbladian():
     assert np.abs(rk45 - exact).max() < 1e-8
 
 
+def _operator_terms(dim):
+    """A term list on dim levels that keeps the photon-number parity.
+
+    A static Kerr term, a² + a†² with coefficient t², a⁴ + a†⁴ (a sparsity
+    pattern disjoint from the other terms') with coefficient cos t, and n
+    twice, statically and with coefficient −t, so that at t = 1 the entry
+    (1, 1), where the Kerr term is 0, cancels to 0.
+    """
+    a, n = annihilation((dim,), 0), number_op((dim,), 0)
+    a2, a4 = a @ a, a @ a @ a @ a
+    return [(h_kerr_single(1.3, 0.0, dim), None),
+            ((a2 + a2.conj().T).tocsr(), lambda t: t * t),
+            ((a4 + a4.conj().T).tocsr(), np.cos),
+            (n, None),
+            (n, lambda t: -t)]
+
+
+def _term_products(terms, t, block):
+    """Σ f_k(t)·(H_k·block), term by term."""
+    return sum((1.0 if f is None else f(t)) * (m @ block) for m, f in terms)
+
+
+def test_term_operator_is_the_sum_of_its_terms():
+    dim = 10
+    terms = _operator_terms(dim)
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    sectors = [np.arange(0, dim, 2), np.arange(1, dim, 2)]
+    cols = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    whole = dynamics._term_operator(terms, [np.arange(dim)])
+    split = dynamics._term_operator(terms, sectors)
+    # at t = 1 the entry (1, 1) cancels; the matrices are rewritten in place,
+    # so every t is checked after another one
+    for t in (0.3, 1.0, -2.1, 0.3):
+        ref = _term_products(terms, t, y)
+        (m,) = whole(t)
+        assert np.linalg.norm(m @ y - ref) <= 1e-15 * np.linalg.norm(ref)
+        ref = _term_products(terms, t, cols)
+        for k, idx in zip(split(t), sectors):
+            # the terms keep the sectors, so the rows I_s of H·cols need only cols[I_s]
+            got = k @ cols[idx]
+            assert np.linalg.norm(got - ref[idx]) <= 1e-15 * np.linalg.norm(ref[idx])
+    # one entry per position that some term stores
+    union = {(i, j) for h, _ in terms for i, j in zip(h.tocoo().row, h.tocoo().col)}
+    assert whole(0.3)[0].nnz == len(union)
+    # a term list that stores no entry at all
+    (m,) = dynamics._term_operator([(sp.csr_matrix((3, 3)), np.cos)], [np.arange(3)])(0.5)
+    assert m.nnz == 0 and not (m @ np.ones(3)).any()
+
+
 def _scipy_rk45(rhs, y0, t_span, time_dependent):
     """dynamics.solve_ivp's problem under SciPy's RK45, y(t1) read from its dense output."""
     t0, t1 = t_span

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import eval_laguerre
 
-from catms import protocols
+from catms import dynamics, protocols
 from catms.hilbert import number_op
 from catms.model import h_kerr_single
 from catms.states import CatParity, single_mode_cat_vector
@@ -46,6 +47,30 @@ def test_cat_prep_hamiltonian_terms_sum_to_ramp():
         ref = (h_kerr_single(kerr, kerr * s.alpha_t(t) ** 2, dim)
                + s.delta_q(t, kerr) * n).toarray()
         assert np.abs(total - ref).max() < 1e-12
+
+
+def test_cat_prep_right_hand_side_is_one_sparse_product(monkeypatch):
+    # the ramp's three terms are one CSR matrix, so every right-hand-side
+    # call of the stepper makes one sparse product, not one per term
+    products = [0]
+    for cls in (sp.csr_matrix, sp.csr_array):
+        def counted(self, other, _matmul=cls.__matmul__):
+            products[0] += 1
+            return _matmul(self, other)
+        monkeypatch.setattr(cls, "__matmul__", counted)
+    stepper, per_call = dynamics.solve_ivp, []
+
+    def counting(rhs, *args, **kwargs):
+        def one_call(t, y):
+            before = products[0]
+            out = rhs(t, y)
+            per_call.append(products[0] - before)
+            return out
+        return stepper(one_call, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    protocols.run_cat_prep(1.0, 2.0, 1.7, dim=16)
+    assert len(per_call) > 1000 and set(per_call) == {1}
 
 
 def test_effective_single_qubit_map():
@@ -131,7 +156,8 @@ def test_ramp_margin_positive():
 
 def test_josephson_period_propagator_matches_continuous_rk4():
     # U(t) = U(r)·U(T)^n against one RK4 run over [0, t] on the same step grid,
-    # at t = 2.5 carrier periods
+    # at t = 2.5 carrier periods, with a copy of the term-by-term right-hand
+    # side (h0·y and the rotated C·y, C = cos(2α(a + a†)))
     from catms.dynamics import _rk4_integrate
     from catms.hilbert import annihilation
 
@@ -154,5 +180,13 @@ def test_josephson_period_propagator_matches_continuous_rk4():
 
     basis = np.stack([single_mode_cat_vector(dim, alpha, CatParity.ODD),
                       single_mode_cat_vector(dim, alpha, CatParity.EVEN)], axis=1)
-    cols = _rk4_integrate(rhs, basis, 0.0, t, 2 * np.pi / (omega_c * steps))
+    period = 2 * np.pi / omega_c
+    cols = _rk4_integrate(rhs, basis, 0.0, t, period / steps)
     assert np.abs(res.propagator - basis.conj().T @ cols).max() < 1e-10
+    # the same U(r)·U(T)^2 from the copy: the one-product right-hand side
+    # changes the rounding only
+    eye = np.eye(dim, dtype=complex)
+    u = np.linalg.matrix_power(_rk4_integrate(rhs, eye, 0.0, period, period / steps), 2)
+    u = _rk4_integrate(rhs, eye, 0.0, t - 2 * period, period / steps) @ u
+    assert np.abs(res.propagator - basis.conj().T @ u @ basis).max() < 1e-13
+
