@@ -6,23 +6,28 @@ takes and returns a state vector, evolve_density a dense density matrix, each
 at the end of the span.
 
 Static and time-dependent generators take different paths:
-- A static generator is propagated exactly. expm_apply applies exp(−iH·dt)
-  to a vector or a block of columns, and _lindblad_series applies exp(𝓛·dt)
-  to a density matrix; both sum the Chebyshev (Jacobi–Anger) series of one
-  kernel, _chebyshev_series. evolve_density sends a bare CSR matrix to
-  _lindblad_series. The gate runner propagates a coherent full-mode gate with
-  propagate_piecewise and every segment of a dissipative gate with
-  evolve_density. A coherent effective-mode gate needs neither: its generator
-  commutes with S_x, so gates.sx_block_columns propagates it as small bus
-  blocks, one per S_x = s > 0.
-- A term list (the cat-prep ramp) is integrated by Dormand–Prince 5(4),
-  SciPy's RK45 rules, in `dynamics` (solve_ivp), at the tolerances RTOL and
-  ATOL: evolve_state for a pure state, evolve_density for a lossy ramp.
-  Both hold −i·H(t), with the decay −(i/2)Σ r_k o_k†o_k as one more static
-  term of a lossy ramp, as one CSR matrix per sector (_term_operator), whose
-  entries each right-hand-side call rewrites for its t: one sparse product
-  per sector and call, whatever the number of terms.
-Both Lindblad paths apply 𝓛 in the same left-products form (_left_products).
+- A static Hermitian H (expm_apply, on a vector or a block of columns) and a
+  static Lindbladian 𝓛 (evolve_density, through _lindblad_series) are
+  propagated exactly, by one Chebyshev (Jacobi–Anger) series: one
+  recurrence, _chebyshev_series, and one set-up rule, _chebyshev_propagate,
+  which takes the interval of the generator's Hermitian part and a bound on
+  its dissipator; each caller only builds its map. The gate runner
+  propagates a coherent full-mode gate with propagate_piecewise and every
+  segment of a dissipative gate with evolve_density. A coherent
+  effective-mode gate needs neither: its generator commutes with S_x, so
+  gates.sx_block_columns propagates it as small bus blocks, one per
+  S_x = s > 0.
+- A term list (the cat-prep ramp), and a bare CSR matrix given to
+  evolve_state (which need not be Hermitian), are integrated by
+  Dormand–Prince 5(4), SciPy's RK45 rules, in `dynamics` (solve_ivp), at
+  the tolerances RTOL and ATOL: evolve_state for a pure state,
+  evolve_density for a lossy ramp. Both hold −i·H(t), with the decay
+  −(i/2)Σ r_k o_k†o_k as one more static term of a lossy ramp, as one CSR
+  matrix per sector (_term_operator), whose entries each right-hand-side
+  call rewrites for its t: one sparse product per sector and call, whatever
+  the number of terms.
+Both Lindblad paths apply 𝓛 through one map, the left-products form of
+_left_products, each handing it its blocks of −i·H_eff.
 _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
 
@@ -122,8 +127,7 @@ def evolve_state(h, psi0: np.ndarray, t_span) -> np.ndarray:
     return v
 
 
-def evolve_density(h, collapse_channels, rho0, t_span,
-                   check_positivity: bool | None = None):
+def evolve_density(h, collapse_channels, rho0, t_span):
     """Propagate the Lindblad equation with D[o]ρ = oρo† − (o†oρ + ρo†o)/2.
 
     rho0 is a dense Hermitian matrix, or a block-diagonal one given as its
@@ -132,9 +136,8 @@ def evolve_density(h, collapse_channels, rho0, t_span,
     o = ch.op.matrix, on the whole space. A static h (a CSR matrix) is
     propagated exactly, by the Chebyshev series of exp(𝓛·dt)
     (_lindblad_series); a term list (see _terms) is integrated by solve_ivp.
-    A trace drift above 1e-6 is warned about; a result with an eigenvalue
-    below −1e-6 raises ToleranceBreach (checked by default up to dimension
-    256).
+    A trace drift above 1e-6 is warned about; a result of dimension up to 256
+    with an eigenvalue below −1e-6 raises ToleranceBreach.
     """
     blocks = _sectors(rho0)
     sectors = [idx for idx, _ in blocks]
@@ -143,25 +146,18 @@ def evolve_density(h, collapse_channels, rho0, t_span,
                                   float(t_span[1]) - float(t_span[0]))
     else:
         terms = _terms(h)
-        products = _decay_products(collapse_channels)
-        decay, finish = _left_products(collapse_channels, products, 1.0, sectors)
+        decay, apply = _left_products(collapse_channels, _decay_products(collapse_channels),
+                                      1.0, sectors)
         # −i·H_eff(t), the decay as one more static term
         generator = _term_operator([(-1j * m, f) for m, f in terms + [(decay, None)]], sectors)
-
-        def rhs(t, y):
-            rhos = _views(y, sectors)
-            return finish([k @ rho for k, rho in zip(generator(t), rhos)], rhos)
-
-        v = solve_ivp(rhs, _flat(blocks), t_span,
+        v = solve_ivp(lambda t, y: apply(generator(t), y), _flat(blocks), t_span,
                       time_dependent=any(f is not None for _, f in terms))
         blocks = list(zip(sectors, _views(v, sectors)))
     blocks = [(idx, (m + m.conj().T) / 2) for idx, m in blocks]  # enforce Hermiticity
     tr_drift = abs(sum(np.trace(m) for _, m in blocks) - 1.0)
     if tr_drift > 1e-6:
         warnings.warn(f"trace drifted by {tr_drift:.2e}", stacklevel=2)
-    if check_positivity is None:
-        check_positivity = sum(map(len, sectors)) <= 256
-    if check_positivity:
+    if sum(map(len, sectors)) <= 256:
         # ρ is block-diagonal, so its spectrum is the union of its blocks'
         w = min(np.linalg.eigvalsh(m).min() for _, m in blocks)
         if w < -1e-6:
@@ -237,7 +233,7 @@ def _decay_products(collapse_channels) -> list:
 
 
 def _left_products(collapse_channels, products, scale: float, sectors):
-    """The channel terms of scale·𝓛 in left-products form, for Hermitian ρ.
+    """The Lindblad map scale·𝓛 in left-products form, for Hermitian ρ.
 
     With H_eff = H − (i/2)Σ r_k o_k†o_k and X = H_eff·ρ,
 
@@ -250,14 +246,15 @@ def _left_products(collapse_channels, products, scale: float, sectors):
     ρ is block-diagonal over `sectors`, and each o_k keeps them or swaps the
     two (_sector_blocks). So o_k†o_k keeps them, the jump term takes ρ_s to
     o_k[I_t, I_s]·ρ_s·o_k[I_t, I_s]† in sector t, and 𝓛ρ is block-diagonal
-    again. Returns (decay, finish): decay is the CSR matrix −(i/2)Σ r_k o_k†o_k,
-    the anti-Hermitian part of H_eff, on the whole space, and
-    finish(ps, rhos) takes ρ's blocks rhos and ps[s] = −i·scale·X_s (fresh
-    arrays it may overwrite) and returns scale·𝓛ρ in the flat form of _flat.
-    It adds the jump terms as P = p + Σ (scale·r_k/2)·o_k(o_kρ)† and returns
-    P + P†, so the jump terms come out symmetrised and the result is
-    Hermitian to the last bit. Both integrators feed each result back into
-    the map, so it keeps getting the Hermitian input it needs.
+    again. Returns (decay, apply): decay is the CSR matrix −(i/2)Σ r_k o_k†o_k,
+    the anti-Hermitian part of H_eff, on the whole space, and apply(ks, y)
+    takes the blocks ks[s] of −i·scale·H_eff (the caller adds H to decay and
+    splits the sum, _generator_blocks) and ρ in the flat form of _flat, and
+    returns scale·𝓛ρ in the same form. It forms P_s = ks[s]·ρ_s, adds the
+    jump terms as P += Σ (scale·r_k/2)·o_k(o_kρ)† and returns P + P†, so the
+    jump terms come out symmetrised and the result is Hermitian to the last
+    bit. Both integrators feed each result back into the map, so it keeps
+    getting the Hermitian input it needs.
     """
     dim = sum(len(idx) for idx in sectors)
     decay = sp.csr_matrix((dim, dim), dtype=complex)
@@ -269,7 +266,9 @@ def _left_products(collapse_channels, products, scale: float, sectors):
             bufs.setdefault(block.shape[::-1], np.empty(block.shape[::-1], dtype=complex))
     size = sum(len(idx) ** 2 for idx in sectors)
 
-    def finish(ps, rhos):
+    def apply(ks, y):
+        rhos = _views(y, sectors)
+        ps = [k @ rho for k, rho in zip(ks, rhos)]
         for s, t, o in jumps:
             tmp = bufs[o.shape[::-1]]
             np.conjugate((o @ rhos[s]).T, out=tmp)
@@ -280,7 +279,7 @@ def _left_products(collapse_channels, products, scale: float, sectors):
             v += p
         return out
 
-    return decay.tocsr(), finish
+    return decay.tocsr(), apply
 
 
 # Dormand–Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)):
@@ -397,21 +396,17 @@ _CHEBYSHEV_TAIL = 1e-16
 """The series stops at the first order k > z whose bound on its term is below this."""
 
 
-def _chebyshev_series(two_x, y0: np.ndarray, z: float, margin: float = 0.0,
-                      bound: float = 1.0, phase: complex = 1.0,
-                      real: bool = False) -> np.ndarray:
-    """phase·exp(−izX)·y0 by the Jacobi–Anger expansion, from the map two_x.
+def _chebyshev_series(two_b, y0: np.ndarray, z: float, margin: float = 0.0,
+                      bound: float = 1.0) -> np.ndarray:
+    """exp(zB)·y0 by the Jacobi–Anger expansion, from the map two_b = 2B.
 
-    exp(−izX) = Σ_k (2 − δ_k0)(−i)^k J_k(z) T_k(X) (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)), with T_k(X)·y0 from the three-term
-    recurrence, one application of two_x each, in one of two forms:
-    - real=False: two_x applies 2X, the terms are T_k(X)·y0 and
-      T_{k+1} = 2X·T_k − T_{k−1};
-    - real=True, for X = iB: two_x applies 2B, the terms are
-      S_k = (−i)^k T_k(X)·y0 and S_{k+1} = 2B·S_k + S_{k−1}. The powers of −i
-      leave the coefficients, which are then the real (2 − δ_k0)J_k(z), so a
-      B that maps Hermitian matrices to Hermitian ones gives Hermitian terms
-      and a Hermitian sum.
+    With X = iB, exp(zB) = exp(−izX) = Σ_k (2 − δ_k0)(−i)^k J_k(z) T_k(X)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The terms are
+    S_k = (−i)^k T_k(X)·y0, from the three-term recurrence
+    S_{k+1} = 2B·S_k + S_{k−1}, one application of two_b each. The powers of
+    −i leave the coefficients, which are the real (2 − δ_k0)J_k(z), so a B
+    that maps Hermitian matrices to Hermitian ones gives Hermitian terms and
+    a Hermitian sum.
 
     The truncation error after N terms is at most Σ_{k≥N} 2|J_k(z)|·‖T_k(X)‖
     ·‖y0‖. The caller bounds ‖T_k(X)‖ ≤ bound·e^{margin·k} (bound 1 and
@@ -423,7 +418,7 @@ def _chebyshev_series(two_x, y0: np.ndarray, z: float, margin: float = 0.0,
     first, which holds the stop order of a Hermitian X up to z = 1e5 at least,
     and then in ranges twice as long until it is found.
 
-    two_x must return a fresh array: the loop adds to it in place.
+    two_b must return a fresh array: the loop adds to it in place.
     """
     n = int(z + 12 * np.cbrt(z)) + 40
     while True:
@@ -435,22 +430,68 @@ def _chebyshev_series(two_x, y0: np.ndarray, z: float, margin: float = 0.0,
         if hits.size:
             break
         n *= 2
-    k = k[:max(hits[0], 2)]
-    rot = 1 if real else np.array([1, -1j, -1, 1j])[k % 4]  # (−i)^k exactly
-    coef = 2 * rot * jk[k]
+    coef = 2 * jk[:max(hits[0], 2)]
     coef[0] /= 2
-    coef = phase * coef
-    prev, cur = y0, 0.5 * two_x(y0)
+    prev, cur = y0, 0.5 * two_b(y0)
     out = coef[0] * prev + coef[1] * cur
     for ck in coef[2:]:
-        nxt = two_x(cur)
-        if real:
-            nxt += prev
-        else:
-            nxt -= prev
+        nxt = two_b(cur)
+        nxt += prev
         prev, cur = cur, nxt
         out += ck * cur
     return out
+
+
+def _chebyshev_propagate(lo: float, hi: float, d: float, build, y: np.ndarray,
+                         dt: float) -> np.ndarray:
+    """exp(𝓖·dt)·y for a static generator 𝓖 = −iA + 𝓓, by _chebyshev_series.
+
+    A is a Hermitian map with its spectrum in [lo, hi] and 𝓓 a map with
+    ‖𝓓‖ ≤ d: A = H and d = 0 for a state, A = [H, ·] and 𝓓 the dissipator
+    for a density matrix. With the centre c = (lo + hi)/2,
+    the half-width r = (hi − lo)/2 and the width w = r + 2d,
+
+        exp(𝓖·dt) = e^{−icdt} exp(z·B),   B = (𝓖 + ic)/w,   z = w·dt,
+
+    and build(c, w) returns the map 2B, as a function that returns a fresh
+    array. When w = 0, 𝓖 = −ic and only the phase is applied.
+
+    Margin and bound. X = iB = Y + Δ, with Y = (A − c)/w Hermitian and its
+    spectrum in [−a, a], a = r/w, and ‖Δ‖ = ‖𝓓‖/w ≤ δ = d/w, so a + 2δ = 1.
+    The Bernstein ellipse E_η (foci ±1, semi-axes cosh η and sinh η) lies at
+    least sinh η·√(1 − a²) from [−a, a] (the distance from the end a, the
+    nearest point of the segment, while a·cosh η ≤ 1, and a lower bound on it
+    beyond), and the margin η = asinh(2δ/√(1 − a²)) makes that 2δ. On E_η,
+    ‖(ζ − X)^{-1}‖ ≤ 1/(2δ − δ) (a Neumann series about the Hermitian Y) and
+    |T_k(ζ)| ≤ cosh(kη), and E_η is at most 2π·cosh η long. The Cauchy
+    integral T_k(X) = (2πi)^{-1}∮ T_k(ζ)(ζ − X)^{-1}dζ over E_η then gives
+    ‖T_k(X)‖ ≤ bound·e^{kη} with bound = cosh(η)/δ. With d = 0, X = Y has
+    its spectrum in [−1, 1]: margin 0 and bound 1.
+
+    Sub-steps. The bound lets the terms grow as e^{ηk} before they cancel,
+    and that growth is real for components of y near the ends of A's
+    spectrum: rounding in the sum scales with it. dt is split into the
+    fewest equal sub-steps with η·z ≤ ln 100 each, so e^{ηk} stays near 100
+    or below over the orders k ≲ z where |J_k(z)| is not yet negligible.
+    The prefactor bound, about w/d, is the price of the contour's closeness
+    to the spectrum, not a growth, and adds a few orders only. With d = 0
+    there is one step.
+    """
+    c, r = (lo + hi) / 2, (hi - lo) / 2
+    w = r + 2 * d
+    phase = np.exp(-1j * c * dt)
+    if w == 0:
+        return phase * y
+    margin, bound = 0.0, 1.0
+    if d > 0:
+        a, delta = r / w, d / w
+        margin = np.arcsinh(2 * delta / np.sqrt(1 - a * a))
+        bound = np.cosh(margin) / delta
+    n_sub = max(1, int(np.ceil(margin * w * dt / np.log(100))))
+    two_b = build(c, w)
+    for _ in range(n_sub):
+        y = _chebyshev_series(two_b, y, w * dt / n_sub, margin, bound)
+    return phase * y
 
 
 def _gershgorin(h) -> tuple[float, float]:
@@ -465,22 +506,14 @@ def expm_apply(h, block: np.ndarray, dt: float) -> np.ndarray:
 
     block is a vector or a 2-D block of columns. H must be Hermitian: the
     expansion assumes a real spectrum. Gershgorin's discs give an interval
-    [c − w, c + w] that contains it, and with H̃ = (H − c)/w, whose spectrum
-    lies in [−1, 1],
-
-        exp(-i H dt) = e^{-icdt} exp(−i·w·dt·H̃),
-
-    which _chebyshev_series sums with margin 0: one sparse product by 2H̃
-    per order, and about w·dt + 11(w·dt)^(1/3) orders.
+    [lo, hi] that contains it, and _chebyshev_propagate sums the series with
+    d = 0 and 2B = −(2i/w)(H − c): one sparse product per order, and about
+    w·dt + 11(w·dt)^(1/3) orders.
     """
-    block = np.asarray(block, dtype=complex)
-    lo, hi = _gershgorin(h)
-    c, w = (hi + lo) / 2, (hi - lo) / 2
-    phase = np.exp(-1j * c * dt)
-    if w == 0:  # H = c·I
-        return phase * block
-    two_h = (2 / w) * (h - c * sp.identity(h.shape[0], format="csr"))  # 2H̃
-    return _chebyshev_series(two_h.__matmul__, block, w * dt, phase=phase)
+    eye = sp.identity(h.shape[0], format="csr")
+    return _chebyshev_propagate(*_gershgorin(h), 0.0,
+                                lambda c, w: ((-2j / w) * (h - c * eye)).__matmul__,
+                                np.asarray(block, dtype=complex), dt)
 
 
 def _lindblad_series(h, collapse_channels, rho0, dt: float):
@@ -488,76 +521,46 @@ def _lindblad_series(h, collapse_channels, rho0, dt: float):
 
     h is a Hermitian CSR matrix and the channels are those of evolve_density,
     both on the whole space; rho0 is a dense Hermitian matrix or its sectors
-    (_sectors), and the result has the same form. 𝓛 is applied in
-    left-products form (_left_products), and _chebyshev_series sums
-    exp(z·B) = exp(−izX) with B = 𝓛/w, X = iB and z = w·dt, in its real form.
-    Its terms S_k are real polynomials in 𝓛 applied to ρ0, so they are
-    Hermitian, as the left-products form needs.
+    (_sectors), and the result has the same form. 𝓛 = −i[H, ·] + 𝓓 is
+    applied in left-products form (_left_products), and
+    _chebyshev_propagate sums the series with 2B = (2/w)𝓛. Its terms S_k are
+    real polynomials in 𝓛 applied to ρ0, so they are Hermitian, as the
+    left-products form needs.
+
+    Interval and norm bound. Take norms on the matrices under the Frobenius
+    inner product, and two numbers:
+    - W = hi − lo of H's Gershgorin interval. The eigenvalues of H lie in
+      [lo, hi], so the commutator [H, ·], a Hermitian superoperator, has its
+      spectrum {λ_i − λ_j} in [−W, W], which gives the centre c = 0.
+    - G = Σ r_k‖o_k†o_k‖_∞ (the largest row sum, which bounds the spectral
+      norm of the Hermitian o_k†o_k). ρ ↦ oρo† and ρ ↦ {o†o, ρ}/2 both have
+      norm at most ‖o†o‖, so the dissipator has ‖𝓓‖ ≤ d = 2G.
+    With no channels (G = 0) the series is that of expm_apply: margin 0,
+    bound 1 and one step; when 𝓛 = 0 as well, ρ0 is returned.
 
     Sectors. H keeps each sector and every o_k keeps or swaps them, so 𝓛
     maps a block-diagonal ρ to a block-diagonal one, and so does every S_k:
     the series runs on the diagonal blocks alone, with the blocks of H_eff
     and of the o_k (_sector_blocks), and the cross blocks, exactly 0
     throughout, are never formed. Each block entry is the same sum, term by
-    term and in the same order, as in the whole-space series. The interval,
-    G, margin, bound and sub-steps below are those of the whole space: H's
+    term and in the same order, as in the whole-space series. W and G, and so
+    the margin, bound and sub-steps, are those of the whole space: H's
     Gershgorin discs are row by row, and each row of H (and of o_k†o_k) lies
     in one sector, so the sectors' intervals have the whole space's as their
     union. The whole space is the one-sector case.
-
-    Interval, margin and bound. Take norms on the matrices under the
-    Frobenius inner product, and two numbers:
-    - W = hi − lo of H's Gershgorin interval. The eigenvalues of H lie in
-      [lo, hi], so the commutator [H, ·], a Hermitian superoperator, has its
-      spectrum {λ_i − λ_j} in [−W, W].
-    - G = Σ r_k‖o_k†o_k‖_∞ (the largest row sum, which bounds the spectral
-      norm of the Hermitian o_k†o_k). ρ ↦ oρo† and ρ ↦ {o†o, ρ}/2 both have
-      norm at most ‖o†o‖, so the dissipator 𝓓 = 𝓛 + i[H, ·] has ‖𝓓‖ ≤ 2G.
-    Then X = iB = Y + Δ, with Y = [H, ·]/w Hermitian and its spectrum in
-    [−a, a], a = W/w, and ‖Δ‖ = ‖𝓓‖/w ≤ δ = 2G/w. Let w = W + 4G, so that
-    a + 2δ = 1. The Bernstein ellipse E_η (foci ±1, semi-axes cosh η and
-    sinh η) lies at least sinh η·√(1 − a²) from [−a, a] (the distance from
-    the end a, the nearest point of the segment, while a·cosh η ≤ 1, and a
-    lower bound on it beyond), and the margin η = asinh(2δ/√(1 − a²)) makes
-    that 2δ. On E_η, ‖(ζ − X)^{-1}‖ ≤ 1/(2δ − δ) (a Neumann series about the
-    Hermitian Y) and |T_k(ζ)| ≤ cosh(kη), and E_η is at most 2π·cosh η long.
-    The Cauchy integral T_k(X) = (2πi)^{-1}∮ T_k(ζ)(ζ − X)^{-1}dζ over E_η
-    then gives ‖T_k(X)‖ ≤ bound·e^{kη} with bound = cosh(η)/δ.
-
-    Sub-steps. The bound lets the terms grow as e^{ηk} before they cancel,
-    and that growth is real for components of ρ near the ends of [H, ·]'s
-    spectrum: rounding in the sum scales with it. dt is split into the
-    fewest equal sub-steps with η·z ≤ ln 100 each, so e^{ηk} stays near 100
-    or below over the orders k ≲ z where |J_k(z)| is not yet negligible.
-    The prefactor bound, about w/(2G), is the price of the contour's
-    closeness to the spectrum, not a growth, and adds a few orders only.
-
-    With no channels (G = 0), X = Y: margin 0, bound 1 and one step, as in
-    expm_apply; when 𝓛 = 0 as well, ρ0 is returned.
     """
     blocks = _sectors(rho0)
     sectors = [idx for idx, _ in blocks]
     lo, hi = _gershgorin(h)
     products = _decay_products(collapse_channels)
     g = sum(ch.rate * abs(odo).sum(axis=1).max() for ch, odo in zip(collapse_channels, products))
-    w = (hi - lo) + 4 * g
-    y = _flat(blocks)
-    if w != 0:  # else H = c·I and no channels: 𝓛 = 0
-        margin, bound = 0.0, 1.0
-        if g > 0:
-            a, delta = (hi - lo) / w, 2 * g / w
-            margin = np.arcsinh(2 * delta / np.sqrt(1 - a * a))
-            bound = np.cosh(margin) / delta
-        n_sub = max(1, int(np.ceil(margin * w * dt / np.log(100))))
-        decay, finish = _left_products(collapse_channels, products, 2 / w, sectors)
+
+    def build(c, w):
+        decay, apply = _left_products(collapse_channels, products, 2 / w, sectors)
         k_eff = _generator_blocks((-2j / w) * (h + decay), sectors)  # −(2i/w)·H_eff
+        return lambda y: apply(k_eff, y)
 
-        def two_b(x):
-            rhos = _views(x, sectors)
-            return finish([k @ r for k, r in zip(k_eff, rhos)], rhos)
-
-        for _ in range(n_sub):
-            y = _chebyshev_series(two_b, y, w * dt / n_sub, margin, bound, real=True)
+    y = _chebyshev_propagate(lo - hi, hi - lo, 2 * g, build, _flat(blocks), dt)
     out = list(zip(sectors, _views(y, sectors)))
     return out if isinstance(rho0, list) else out[0][1]
 

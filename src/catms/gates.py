@@ -483,7 +483,7 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
         v = model.basis_vector(input_state)
         rho = [(idx, np.outer(v[idx], v[idx].conj())) for idx in model.sectors]
         for h, dt in model.generators(schedule):
-            rho = evolve_density(h, model.channels, rho, (0.0, dt), check_positivity=False)
+            rho = evolve_density(h, model.channels, rho, (0.0, dt))
         state = np.zeros((len(v), len(v)), dtype=complex)
         for idx, block in rho:
             state[np.ix_(idx, idx)] = block

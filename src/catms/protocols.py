@@ -63,17 +63,22 @@ def cat_prep_hamiltonian(kerr: float, schedule: CatPrepSchedule,
     ]
 
 
-def ramp_margin(kerr: float, schedule: CatPrepSchedule, n_samples: int = 101) -> float:
+_MARGIN_SAMPLES = 101
+"""The number of sample points of ramp_margin."""
+
+
+def ramp_margin(kerr: float, schedule: CatPrepSchedule) -> float:
     """Dimensionless adiabaticity margin of the displaced-frame condition.
 
     The displaced-frame generator cannot change the photon number when the
     effective level spacing |Δq − 4Kα_t²| dominates both the cubic coefficient
     2Kα_t and the residual drive sqrt((α_t Δq)² + α̇_t²). Returns the minimum
-    ratio over interior sample points (the boundary t = −t0 is excluded, where
-    the spacing vanishes identically).
+    ratio over _MARGIN_SAMPLES interior sample points, the midpoints of equal
+    parts of the ramp (the boundary t = −t0 is excluded, where the spacing
+    vanishes identically).
     """
     t0 = schedule.t0
-    ts = -t0 + (np.arange(n_samples) + 0.5) * t0 / n_samples
+    ts = -t0 + (np.arange(_MARGIN_SAMPLES) + 0.5) * t0 / _MARGIN_SAMPLES
     alpha_dot = schedule.alpha / t0
     worst = np.inf
     for t in ts:

@@ -13,6 +13,7 @@ from catms import dynamics, protocols
 from catms.dynamics import (
     StiffSegment,
     ToleranceBreach,
+    _gershgorin,
     _lindblad_series,
     _rk4_integrate,
     evolve_density,
@@ -132,16 +133,18 @@ def test_expm_apply_matches_scipy():
 
 
 def test_expm_apply_long_span_matches_eigh():
-    # a span of over 500 half-widths needs hundreds of Chebyshev terms
+    # a span of over 500 half-widths needs hundreds of Chebyshev terms; the
+    # shifted spectrum, centred far from 0 (c ≫ w), puts the weight on the phase
     rng = np.random.default_rng(7)
     dim = 60
     m = _random_hermitian(rng, dim)
     evals, vecs = np.linalg.eigh(m)
     dt = 500.0 / ((evals[-1] - evals[0]) / 2) * 1.1
-    u_ref = (vecs * np.exp(-1j * dt * evals)) @ vecs.conj().T
-    u = expm_apply(sp.csr_matrix(m), np.eye(dim, dtype=complex), dt)
-    assert np.abs(u - u_ref).max() < 1e-10
-    assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-11
+    for shift in (0.0, 40.0 * (evals[-1] - evals[0])):
+        u_ref = (vecs * np.exp(-1j * dt * (evals + shift))) @ vecs.conj().T
+        u = expm_apply(sp.csr_matrix(m + shift * np.eye(dim)), np.eye(dim, dtype=complex), dt)
+        assert np.abs(u - u_ref).max() < 1e-10, shift
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-11, shift
 
 
 def test_expm_apply_multiple_of_identity_is_a_phase():
@@ -256,6 +259,19 @@ def test_lindblad_series_matches_dense_superoperator():
         assert np.abs(rho - _dense_lindblad_step(h, channels, rho0, dt)).max() < 1e-12, name
         assert np.abs(rho - rho.conj().T).max() < 1e-14, name
         assert abs(np.trace(rho) - 1.0) < 1e-13, name
+
+
+def test_lindblad_series_without_channels_is_the_unitary_conjugation():
+    # both callers of the one set-up: a centre or phase applied on the wrong
+    # path shows on an H whose Gershgorin interval lies far from 0
+    rho0 = _mixed_state(8)
+    h = _lindblad_models()[1][1] + 200.0 * sp.identity(8, format="csr")
+    lo, hi = _gershgorin(h)
+    assert lo > hi - lo
+    dt = 0.9
+    u = expm_apply(h, np.eye(8, dtype=complex), dt)
+    rho = _lindblad_series(h, [], rho0, dt)
+    assert np.abs(rho - u @ rho0 @ u.conj().T).max() < 1e-12
 
 
 def test_lindblad_series_does_not_depend_on_the_split():
