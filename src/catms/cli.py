@@ -40,18 +40,25 @@ DENSITY_WORKING_SET = 6
 """Peak working set of a gate's density-matrix run, in copies of ρ.
 
 A gate keeps ρ as its two parity blocks, each a quarter of ρ, so the flat
-array of both is half a copy. Each segment is propagated by
+array of both is half a copy; an N = 2 gate from |C+C+⟩ keeps it as the
+blocks of the exchange sectors that it reaches (exchange_frame of
+gates.GateModel): a quarter of a copy for four sectors, about a sixth for
+the two symmetric ones. Each segment is propagated by
 dynamics._lindblad_series, which holds about 8 such arrays: the segment's
 ρ0, the sub-step's input, the terms S_{k−1}, S_k and S_{k+1}, the sum and
 the temporary of its update, and the map's output, besides the map's sparse
-products in flight and its conjugate-transpose buffer. Up to dimension 256,
-evolve_density then checks each block's eigenvalues. The metrics then
-assemble ρ whole, one copy, and rotate it in place. tracemalloc measured
-peaks of 5.4 × one copy over a whole run_gate, the metrics included, on the
-dim-80 effective fig4_output_fidelity point at N = 2, 4.4 × on the dim-160
-Kerr-level point of fig2a_bus_decoherence (kpo_levels 4, bus_rate 0.1) and
-4.0 × on the dim-640 fig4_n2_full point; the fixed cost of the operators
-weighs most at the smallest dimension.
+products in flight and its conjugate-transpose buffer. evolve_density then
+checks each block's eigenvalues when the propagated dimension is at most
+256. The metrics then assemble ρ whole, one copy, and rotate it in place;
+from the exchange sectors ρ comes back as VρVᵀ, which holds up to three
+copies for a moment. tracemalloc measured peaks over a whole run_gate, the
+metrics included, of 5.6 × one copy on the dim-80 effective
+fig4_output_fidelity point at N = 2 (four sectors), 3.1 × on the dim-160
+Kerr-level point of fig2a_bus_decoherence (kpo_levels 4, bus_rate 0.1; two
+sectors), 4.4 × on the same point from |C+C−⟩ (the parity pair), 2.8 × on
+the shipped dim-360 fig2a point and 4.4 × on the dim-640 fig4_n2_full point
+(four sectors); the fixed cost of the operators weighs most at the smallest
+dimension.
 """
 RAMP_WORKING_SET = 19
 """Peak working set of the lossy cat-prep ramp, in copies of ρ.

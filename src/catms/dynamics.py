@@ -32,9 +32,12 @@ _rk4_integrate is a classical fixed-step RK4 loop over a given right-hand
 side; the Josephson path of the single-qubit gate runs through it.
 
 Sectors. propagate_piecewise, evolve_density and _lindblad_series also take
-a state as its sectors (_sectors), such as the gate's two total
-photon-number parities: each sector holds only its own block, and the cross
-blocks, which stay exactly 0, are never formed. A bare array is the
+a state as its sectors (_sectors): the gate's two total photon-number
+parities, or, for a two-KPO density matrix, the total parity × exchange
+parity sectors of the exchange-adapted basis that ρ can reach
+(gates.GateModel.exchange_frame). Each operator maps every sector to exactly
+one sector (_sector_blocks), each sector holds only its own block, and the
+cross blocks, which stay exactly 0, are never formed. A bare array is the
 one-sector case of the same code.
 """
 from __future__ import annotations
@@ -168,8 +171,8 @@ def evolve_density(h, collapse_channels, rho0, t_span):
 def _sectors(x) -> list:
     """x as a list of (indices, block) pairs over sectors I_s that partition the basis.
 
-    Every operator keeps each sector or swaps the two. A block-diagonal ρ is
-    held as its blocks ρ[I_s, I_s], a block of columns as the rows I_s of the
+    Every operator maps each sector to exactly one sector. A block-diagonal ρ
+    is held as its blocks ρ[I_s, I_s], a block of columns as the rows I_s of the
     columns that lie in sector s. A bare array is one sector, the whole space.
     """
     if isinstance(x, list):
@@ -181,23 +184,33 @@ def _sectors(x) -> list:
 def _sector_blocks(m, sectors) -> list:
     """(s, t, m[I_t, I_s]) for each sector s: the one nonzero block of m that leaves s.
 
-    t = s when m keeps the sectors, and t = 1 − s when m swaps the two. An m
-    with nonzero entries of both kinds raises ValueError. Each block keeps
-    the entries of its rows in their order, so a product with it sums what
-    the whole-space product sums, in the same order.
+    m must map each sector s to exactly one sector t, which its nonzero
+    entries in the columns I_s name (t = s when those columns hold none): a
+    parity-keeping H or dephasing has t = s on the parity pair, a loss
+    t = s ^ 1, and on the four exchange sectors of gates.GateModel the
+    antisymmetric part o₋ of a KPO loss t = s ^ 3. An m that sends a sector
+    into two sectors, or sectors that leave a basis index out, raise
+    ValueError. Each block keeps the entries of its rows in their order, so a
+    product with it sums what the whole-space product sums, in the same
+    order.
     """
-    label, local = np.empty((2, m.shape[0]), dtype=int)
+    label, local = np.full(m.shape[0], -1), np.empty(m.shape[0], dtype=int)
     for s, idx in enumerate(sectors):
         label[idx], local[idx] = s, np.arange(len(idx))
+    if (label < 0).any():
+        raise ValueError("the sectors leave a basis index out")
     c = m.tocoo()
     row, col = label[c.row], label[c.col]
-    cross = (row != col)[c.data != 0]
-    swap = int(cross.any())
-    if swap and not cross.all():
-        raise ValueError("operator has entries both within and across the sectors")
+    nz = c.data != 0
+    hit = np.zeros((len(sectors),) * 2, dtype=bool)  # hit[s, t]: an entry leads from s to t
+    hit[col[nz], row[nz]] = True
     blocks = []
     for s, idx in enumerate(sectors):
-        t = s ^ swap
+        ts = np.flatnonzero(hit[s])
+        if ts.size > 1:
+            raise ValueError("operator has entries both within and across the sectors" if s in ts
+                             else f"operator maps sector {s} into sectors {ts.tolist()}")
+        t = int(ts[0]) if ts.size else s
         at = (col == s) & (row == t)
         blocks.append((s, t, sp.csr_matrix(
             (c.data[at], (local[c.row[at]], local[c.col[at]])), shape=(len(sectors[t]), len(idx)))))
@@ -243,8 +256,10 @@ def _left_products(collapse_channels, products, scale: float, sectors):
     Hermitian ρ, where (o_kρ)† = ρo_k†. `products` holds the o_k†o_k
     (_decay_products), which the caller forms once.
 
-    ρ is block-diagonal over `sectors`, and each o_k keeps them or swaps the
-    two (_sector_blocks). So o_k†o_k keeps them, the jump term takes ρ_s to
+    ρ is block-diagonal over `sectors`, and each o_k maps every sector s to
+    exactly one sector t (_sector_blocks): the same one or its partner on the
+    parity pair, any of the four on the exchange sectors of a two-KPO gate.
+    So o_k†o_k keeps them, the jump term takes ρ_s to
     o_k[I_t, I_s]·ρ_s·o_k[I_t, I_s]† in sector t, and 𝓛ρ is block-diagonal
     again. Returns (decay, apply): decay is the CSR matrix −(i/2)Σ r_k o_k†o_k,
     the anti-Hermitian part of H_eff, on the whole space, and apply(ks, y)
@@ -538,12 +553,12 @@ def _lindblad_series(h, collapse_channels, rho0, dt: float):
     With no channels (G = 0) the series is that of expm_apply: margin 0,
     bound 1 and one step; when 𝓛 = 0 as well, ρ0 is returned.
 
-    Sectors. H keeps each sector and every o_k keeps or swaps them, so 𝓛
-    maps a block-diagonal ρ to a block-diagonal one, and so does every S_k:
-    the series runs on the diagonal blocks alone, with the blocks of H_eff
-    and of the o_k (_sector_blocks), and the cross blocks, exactly 0
-    throughout, are never formed. Each block entry is the same sum, term by
-    term and in the same order, as in the whole-space series. W and G, and so
+    Sectors. H keeps each sector and every o_k maps each sector to exactly
+    one sector, so 𝓛 maps a block-diagonal ρ to a block-diagonal one, and so
+    does every S_k: the series runs on the diagonal blocks alone, with the
+    blocks of H_eff and of the o_k (_sector_blocks), and the cross blocks,
+    exactly 0 throughout, are never formed. Each block entry is the same
+    sum, term by term and in the same order, as in the whole-space series. W and G, and so
     the margin, bound and sub-steps, are those of the whole space: H's
     Gershgorin discs are row by row, and each row of H (and of o_k†o_k) lies
     in one sector, so the sectors' intervals have the whole space's as their

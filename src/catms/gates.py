@@ -299,6 +299,8 @@ class GateModel:
     KPOs' kpo_odd. The generator keeps it; of the channels, dephasing keeps
     it and every loss or flip swaps it. `sectors` holds the even and the odd
     indices, the sectors (dynamics._sectors) that run_gate propagates apart.
+    For N = 2 the two KPOs are identical, and exchange_frame refines them by
+    exchange parity for a density matrix that starts in one such sector.
 
     n0, h_rest, c and channels are built on first use: a coherent effective
     run (sx_block_columns) reads none of them.
@@ -397,14 +399,102 @@ class GateModel:
                    [(config.kappa, a_red), (config.gamma, n_red)], cats,
                    np.abs(v[1::2]).sum(axis=0) > 0)
 
-    def generators(self, schedule: Schedule) -> list:
-        """(Δ·n0 + h_rest + J·c, dt) of every segment of `schedule`, as CSR matrices."""
-        return [((d * self.n0 + self.h_rest + j * self.c).tocsr(), t1 - t0)
+    def generators(self, schedule: Schedule, ops=None) -> list:
+        """(Δ·n0 + h_rest + J·c, dt) of every segment of `schedule`, as CSR matrices.
+
+        ops, when given, are (n0, h_rest, c) in another frame (exchange_frame).
+        """
+        n0, h_rest, c = ops or (self.n0, self.h_rest, self.c)
+        return [((d * n0 + h_rest + j * c).tocsr(), t1 - t0)
                 for t0, t1, d, j, _ in schedule.segments()]
 
     def basis_vector(self, k: int) -> np.ndarray:
         """Basis state k (states.basis_state) on the layout `dims`."""
         return basis_state(self.dims[0], self.cats, len(self.dims) - 1, k)
+
+    def exchange_frame(self, input_state: int):
+        """(V, sectors, (n0, h_rest, c), channels) on the sectors ρ reaches, or None.
+
+        For N = 2 the swap S of the two KPOs commutes with the generator (both
+        KPOs have the same h1 and k1) and takes each KPO's channels to the
+        other's. The exchange-adapted basis (_exchange_basis) splits the space
+        into total parity p × exchange parity e, the sectors p + 2e. Each KPO
+        pair (o₁, o₂) enters as o± = (o₁ ± o₂)/√2 (_exchange_channels), as
+        D[o₁] + D[o₂] = D[o₊] + D[o₋]: o₊ keeps the exchange parity, o₋ swaps
+        it, and the bus channels keep it. |C+C+⟩ and |C−C−⟩ (input_state 0
+        and 3) lie in sector 0, even and symmetric, and ρ stays
+        block-diagonal over the sectors that the channels' entries lead to
+        from there: the two symmetric ones when only the bus decoheres, the
+        two even ones when only the KPOs dephase (o₋ of a dephasing keeps the
+        total parity), all four once a KPO loses photons.
+
+        V is the real isometry onto those sectors, a CSR matrix, and the
+        operators come back as VᵀMV, with `sectors` the reached sectors'
+        indices among V's columns. For N ≠ 2, and for |C+C−⟩ and |C−C+⟩,
+        which lie in no one sector, it returns None: ρ then runs on the
+        parity pair (`sectors`).
+        """
+        if len(self._kpos) != 2 or input_state not in (0, 3):
+            return None
+        u, label = self._exchange_basis()
+        channels = [(ch.rate, (u.T @ ch.op.matrix @ u).tocoo())
+                    for ch in self._exchange_channels()]
+        edges = set()  # (s, t) for every channel entry from sector s to sector t
+        for _, o in channels:
+            edges.update(zip(label[o.col].tolist(), label[o.row].tolist()))
+        reach = {0}
+        while (grown := reach | {t for s, t in edges if s in reach}) != reach:
+            reach = grown
+        keep = np.flatnonzero(np.isin(label, list(reach)))
+        iso = u[:, keep].tocsr()
+        ops = [(iso.T @ m @ iso).tocsr() for m in (self.n0, self.h_rest, self.c)]
+        channels = [CollapseChannel(r, SparseOperator(o.tocsr()[keep][:, keep]))
+                    for r, o in channels]
+        return iso, [np.flatnonzero(label[keep] == s) for s in sorted(reach)], ops, channels
+
+    def _exchange_basis(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(U, label): the exchange-adapted basis of an N = 2 model, and each column's sector.
+
+        The columns of the real orthogonal U are |n; ii⟩ and
+        (|n; ij⟩ ± |n; ji⟩)/√2 for i < j, with n the bus level and i, j the
+        KPO levels, and label = p + 2e is their sector: p the total parity
+        (`parity`), the same for |n; ij⟩ and |n; ji⟩, and e = 1 for the
+        antisymmetric (−) columns. The columns are sorted by sector, stably,
+        so within each the bus level leads, as in the product basis.
+        """
+        nb, k = self.dims[0], self.dims[1]
+        i, j = np.triu_indices(k)
+        n = np.repeat(np.arange(nb), i.size)
+        i, j = np.tile(i, nb), np.tile(j, nb)
+        ij, ji = (n * k + i) * k + j, (n * k + j) * k + i
+        pair = i < j
+        m, q = ij.size, int(pair.sum())
+        h = np.sqrt(0.5)
+        rows = np.concatenate([ij, ji[pair], ij[pair], ji[pair]])
+        cols = np.concatenate([np.arange(m), np.flatnonzero(pair), m + np.arange(q),
+                               m + np.arange(q)])
+        vals = np.concatenate([np.where(pair, h, 1.0), np.full(2 * q, h), np.full(q, -h)])
+        label = np.concatenate([self.parity[ij], self.parity[ij[pair]] + 2])
+        order = np.argsort(label, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        return sp.csr_matrix((vals, (rows, place[cols])), shape=(m + q,) * 2), label[order]
+
+    def _exchange_channels(self) -> list[CollapseChannel]:
+        """`channels` of an N = 2 model with each KPO pair (o₁, o₂) as o± = (o₁ ± o₂)/√2.
+
+        `channels` lists the bus channels, then KPO 1's and then KPO 2's, in
+        the same order and at the same rates; o₊ and o₋ take the pair's place.
+        """
+        chans = self.channels
+        per_kpo = sum(r > 0 for r, _ in self._kpo_channels)
+        bus = len(chans) - 2 * per_kpo
+        out = chans[:bus]
+        for one, two in zip(chans[bus:bus + per_kpo], chans[bus + per_kpo:]):
+            out += [CollapseChannel(one.rate, SparseOperator(
+                (np.sqrt(0.5) * (one.op.matrix + sign * two.op.matrix)).tocsr()))
+                for sign in (1, -1)]
+        return out
 
 
 def run_gate(config: GateConfig, schedule: Schedule | None = None,
@@ -426,8 +516,14 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     and, in full mode, the no-leakage probability P_C. They take the Lindblad
     path in both modes: the σy part of the effective model's flip channel
     does not commute with S_x, so it mixes the S_x blocks. It keeps the
-    parity sectors, though: ρ stays their direct sum ρ₊ ⊕ ρ₋, is propagated
-    as those two blocks, and is assembled whole only for the metrics. Both
+    parity sectors, though: ρ stays their direct sum ρ₊ ⊕ ρ₋ and is
+    propagated as those two blocks. For N = 2 from |C+C+⟩ or |C−C−⟩, which
+    are exchange-symmetric, ρ is propagated instead on the total parity ×
+    exchange parity sectors that its channels reach
+    (GateModel.exchange_frame): two when only the bus decoheres (or only the
+    KPOs dephase), four once a KPO loses photons. Its operators are
+    projected once per run as VᵀMV, and ρ comes back once as VρVᵀ. Either
+    way ρ is assembled whole only for the metrics. Both
     report bus_top, a witness of bus truncation: the
     population left in the top bus Fock level at the end (the largest over the
     columns, or the trace of ρ's top-level block). The final state, when the
@@ -481,12 +577,19 @@ def run_gate(config: GateConfig, schedule: Schedule | None = None,
     else:
         input_state = 0 if input_state is None else input_state
         v = model.basis_vector(input_state)
-        rho = [(idx, np.outer(v[idx], v[idx].conj())) for idx in model.sectors]
-        for h, dt in model.generators(schedule):
-            rho = evolve_density(h, model.channels, rho, (0.0, dt))
+        frame = model.exchange_frame(input_state)
+        sectors, ops, channels = model.sectors, None, model.channels
+        if frame is not None:
+            iso, sectors, ops, channels = frame
+            v = iso.T @ v
+        rho = [(idx, np.outer(v[idx], v[idx].conj())) for idx in sectors]
+        for h, dt in model.generators(schedule, ops):
+            rho = evolve_density(h, channels, rho, (0.0, dt))
         state = np.zeros((len(v), len(v)), dtype=complex)
         for idx, block in rho:
             state[np.ix_(idx, idx)] = block
+        if frame is not None:
+            state = (iso @ (iso @ state).T).T  # VρVᵀ, back on the product basis
         state *= unrotate[:, None]
         state *= unrotate.conj()[None, :]
         result.bus_top = float(np.trace(state[-rest:, -rest:]).real)

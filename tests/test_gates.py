@@ -2,9 +2,10 @@ from math import comb, prod
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from catms import gates, noise
-from catms.dynamics import evolve_density, propagate_piecewise
+from catms.dynamics import _sector_blocks, evolve_density, propagate_piecewise
 from catms.hilbert import SparseOperator
 from catms.model import CollapseChannel, GateConfig, Schedule
 from catms.states import CatParity, basis_state, single_mode_cat_vector
@@ -325,6 +326,98 @@ def test_sector_split_rejects_a_mixing_operator():
     cols = [(idx, v[idx][:, None]) for idx in model.sectors]
     with pytest.raises(ValueError, match="swaps the sectors"):
         propagate_piecewise([((loss + loss.conj().T).tocsr(), dt)], cols)
+
+
+def _swap(dims):
+    """The swap S of the two KPOs of an N = 2 layout, as a permutation matrix."""
+    dim = prod(dims)
+    n, i, j = np.unravel_index(np.arange(dim), dims)
+    return sp.csr_matrix((np.ones(dim), (np.ravel_multi_index((n, j, i), dims), np.arange(dim))))
+
+
+def _dissipator(channels, rho):
+    """Σ r·D[o]ρ, densely, with D[o]ρ = oρo† − (o†oρ + ρo†o)/2."""
+    out = np.zeros_like(rho)
+    for ch in channels:
+        o = ch.op.matrix.toarray()
+        oo = o.conj().T @ o
+        out += ch.rate * (o @ rho @ o.conj().T - (oo @ rho + rho @ oo) / 2)
+    return out
+
+
+def test_two_kpo_models_are_exchange_symmetric():
+    cfg, models = _sector_models()
+    sched = gates.plan_detuning_switch(cfg, 0.05)
+    rng = np.random.default_rng(7)
+    for model in models:
+        swap = _swap(model.dims)
+        for h, _ in model.generators(sched):
+            assert not _nonzero(h @ swap - swap @ h)
+        # the bus channels and o₊ keep the exchange parity (SoS = o), o₋ swaps it
+        pm = model._exchange_channels()
+        signs = [1, 1] + [1, -1] * ((len(pm) - 2) // 2)
+        assert len(pm) == len(model.channels)
+        for ch, sign in zip(pm, signs):
+            assert not _nonzero(swap @ ch.op.matrix @ swap - sign * ch.op.matrix)
+        # D[o₁] + D[o₂] = D[o₊] + D[o₋], pair by pair
+        dim = prod(model.dims)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = (m + m.conj().T) / 2
+        pairs, exchange = _dissipator(model.channels[2:], rho), _dissipator(pm[2:], rho)
+        assert np.abs(pairs - exchange).max() <= 1e-14 * np.abs(pairs).max()
+
+
+def test_sector_blocks_send_each_exchange_sector_to_one_sector():
+    _, models = _sector_models()
+    model = models[2]
+    u, label = model._exchange_basis()
+    sectors = [np.flatnonzero(label == s) for s in range(4)]
+    assert [len(idx) for idx in sectors] == [20, 20, 12, 12]
+    plus, minus = ((u.T @ ch.op.matrix @ u).tocsr() for ch in model._exchange_channels()[2:4])
+    rng = np.random.default_rng(3)
+    rho = np.zeros((len(label),) * 2, dtype=complex)
+    for idx in sectors:
+        rho[np.ix_(idx, idx)] = rng.normal(size=(len(idx),) * 2)
+    # the loss's o₋ swaps both the total and the exchange parity
+    whole = minus @ rho
+    for s, t, block in _sector_blocks(minus, sectors):
+        assert t == s ^ 3
+        assert np.array_equal(block @ rho[np.ix_(sectors[s], sectors[s])],
+                              whole[np.ix_(sectors[t], sectors[s])])
+    # o₊ + o₋ = √2·o₁ sends each sector into two
+    with pytest.raises(ValueError, match=r"maps sector 0 into sectors \[1, 3\]"):
+        _sector_blocks((plus + minus).tocsr(), sectors)
+    with pytest.raises(ValueError, match="leave a basis index out"):
+        _sector_blocks(minus, sectors[:3])
+
+
+@pytest.mark.parametrize("rates, n_sectors", [
+    (dict(kappa0=0.3, gamma0=0.2), 2),
+    (dict(kappa=0.1, gamma=0.1, kappa0=0.1, gamma0=0.1), 4),
+])
+def test_exchange_sectors_match_the_parity_pair(monkeypatch, rates, n_sectors):
+    cfg = _cfg(alpha=1.0, bus_dim=3, kpo_dim=6, **rates)
+    levels = cfg.replace(kpo_dim=10, kpo_levels=4)
+    sched = Schedule.constant(cfg.delta, cfg.j_coupling, 0.2 * gates.gate_time(cfg))
+    runs = [(cfg, "effective", gates.GateModel.effective(cfg)),
+            (cfg, "full", gates.GateModel.fock(cfg)),
+            (levels, "full", gates.GateModel.kerr_levels(levels))]
+    for *_, model in runs:
+        assert len(model.exchange_frame(0)[1]) == n_sectors
+        assert model.exchange_frame(1) is None  # |C+C−⟩ takes the parity pair
+
+    def run(k):
+        return [gates.run_gate(c, schedule=sched, input_state=k, mode=mode) for c, mode, _ in runs]
+
+    exchange, mixed = run(0), run(1)
+    monkeypatch.setattr(gates.GateModel, "exchange_frame", lambda self, k: None)
+    for a, b in zip(exchange, run(0)):
+        assert np.abs(a.final_state - b.final_state).max() < 1e-12
+        assert abs(a.f_out - b.f_out) < 1e-12 and abs(a.bus_top - b.bus_top) < 1e-12
+        assert (a.p_c is None) == (b.p_c is None)
+        assert a.p_c is None or abs(a.p_c - b.p_c) < 1e-12
+    for a, b in zip(mixed, run(1)):
+        assert np.array_equal(a.final_state, b.final_state)
 
 
 def test_coherent_full_run_matches_whole_space_propagation():
