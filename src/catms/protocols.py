@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_laguerre, gammaln
 
 from .dynamics import _rk4_integrate, evolve_density, evolve_state
 from .gates import average_gate_fidelity
@@ -148,16 +147,26 @@ def josephson_splitting(alpha: float) -> float:
     Fock-diagonal elements, Ō_nn = e^{−2α²} L_n(4α²). The cat populations are
     Poisson weights e^{−α²}α^{2n}/n! on even (C+) or odd (C−) n, renormalized
     by 1 ± e^{−2α²}. The large-α asymptote of the splitting is 1/(α√(2π)).
+
+    The weights take log n! as a cumulative sum of logs, and Ō_nn comes from
+    the three-term recurrence (n + 1)L_{n+1}(x) = (2n + 1 − x)L_n(x) − nL_{n−1}(x)
+    (A&S 22.7.12), started from e^{−2α²}L_0 = e^{−2α²} and
+    e^{−2α²}L_1 = e^{−2α²}(1 − x) at x = 4α².
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     a2 = alpha**2
     # Poisson(α²) weight beyond α² + 12α + 40 is below double precision
     n = np.arange(int(np.ceil(a2 + 12.0 * alpha + 40.0)))
-    poisson = np.exp(-a2 + 2.0 * n * np.log(alpha) - gammaln(n + 1))
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(n[1:]))])
+    poisson = np.exp(-a2 + 2.0 * n * np.log(alpha) - log_factorial)
     overlap = np.exp(-2.0 * a2)
+    x = 4.0 * a2
+    diag = [overlap, overlap * (1.0 - x)]  # e^{−2α²}L_n(x)
+    for k in range(1, n.size - 1):
+        diag.append(((2 * k + 1 - x) * diag[k] - k * diag[k - 1]) / (k + 1))
     weight = np.where(n % 2 == 0, 2.0 / (1.0 + overlap), -2.0 / (1.0 - overlap))
-    return float(np.sum(weight * poisson * overlap * eval_laguerre(n, 4.0 * a2)))
+    return float(np.sum(weight * poisson * np.array(diag)))
 
 
 def effective_single_qubit(params: SingleQubitParams, alpha: float):

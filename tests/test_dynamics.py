@@ -1,8 +1,10 @@
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -11,9 +13,15 @@ import scipy.sparse as sp
 
 from catms import dynamics, protocols
 from catms.dynamics import (
+    _CHEBYSHEV_TAIL,
     StiffSegment,
     ToleranceBreach,
+    _bessel_j,
+    _chebyshev_series,
+    _decay_products,
     _gershgorin,
+    _generator_blocks,
+    _left_products,
     _lindblad_series,
     _rk4_integrate,
     evolve_density,
@@ -328,6 +336,63 @@ def test_whole_space_map_keeps_a_block_diagonal_rho_block_diagonal():
         assert np.abs(rho[np.ix_(odd, odd)]).max() > 0.1
 
 
+def test_empty_jump_blocks_are_left_out_of_the_map():
+    # |0⟩⟨2| has no entries in the odd sector: its odd block adds no jump, and
+    # the sector map still gives the whole-space map's blocks, entry for entry
+    h, channels, rho0, sectors = _parity_model()
+    dim = h.shape[0]
+    flip = sp.csr_matrix(([1.0 + 0j], ([0], [2])), shape=(dim, dim))
+    channels = channels + [CollapseChannel(0.4, SparseOperator(flip))]
+
+    def lindblad_map(secs):
+        decay, apply = _left_products(channels, _decay_products(channels), 0.5, secs)
+        ks = _generator_blocks(-0.5j * (h + decay), secs)
+        return apply, ks
+
+    apply, ks = lindblad_map(sectors)
+    assert len(inspect.getclosurevars(apply).nonlocals["jumps"]) == 2 + 2 + 1
+    out = apply(ks, np.concatenate([rho0[np.ix_(i, i)].ravel() for i in sectors]))
+    whole_apply, whole_ks = lindblad_map([np.arange(dim)])
+    whole = whole_apply(whole_ks, rho0.ravel()).reshape(dim, dim)
+    start = 0
+    for idx in sectors:
+        block = out[start:start + len(idx) ** 2].reshape(len(idx), len(idx))
+        assert np.array_equal(block, whole[np.ix_(idx, idx)])
+        start += len(idx) ** 2
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-3, 0.5, 45.0, 540.0, 1300.0, 3000.0])
+def test_bessel_j_matches_mpmath(z):
+    # every order of _chebyshev_series' first search range, which holds its
+    # stop order: 2e-15 absolute, and past k = z, where the stop rule reads
+    # them, 1e-13 relative. The reference is mpmath's J_n and J_{n+1}, carried
+    # down by the recurrence in 50-digit arithmetic (at z = 3000 a single
+    # mpmath.besselj takes about 30 ms), and checked against mpmath.besselj
+    # at a few orders.
+    n = int(z + 12 * np.cbrt(z)) + 40
+    jk = _bessel_j(n, z)
+    stop = next(k for k in range(n) if k > z and abs(jk[k]) < _CHEBYSHEV_TAIL)
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        ref = [mpmath.besselj(n + 1, zm), mpmath.besselj(n, zm)]
+        for k in range(n, 0, -1):
+            ref.append(2 * k / zm * ref[-1] - ref[-2] if z else mpmath.mpf(k == 1))
+        ref = ref[:1:-1]  # J_0, …, J_{n−1}
+        for k in {0, stop // 2, int(z), stop, n - 1}:
+            assert abs(ref[k] - mpmath.besselj(k, zm)) < 1e-30
+        exact = np.array([float(v) for v in ref])
+    err = np.abs(jk - exact)
+    assert err.max() <= 2e-15
+    tail = (np.arange(n) > z) & (exact != 0)
+    assert (err[tail] <= 1e-13 * np.abs(exact[tail])).all()
+
+
+def test_chebyshev_series_at_z_zero_returns_y0():
+    y0 = np.array([0.3 - 0.1j, 0.9j, -0.2])
+    b = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]], dtype=complex))
+    assert np.array_equal(_chebyshev_series(lambda y: 2 * (b @ y), y0, 0.0), y0)
+
+
 def test_evolve_density_term_list_uses_the_same_lindbladian():
     # a term list goes through RK45 with the left-products right-hand side;
     # a static generator written as one goes the same way as the series
@@ -457,17 +522,22 @@ def test_solve_ivp_raises_on_a_nan_right_hand_side():
 
 
 def test_no_scipy_integrate_in_a_fresh_process():
-    # the cli, a pure and a lossy cat-prep ramp, both single-qubit paths, a
+    # the cli's set-up (load_spec and estimate_resources on every shipped
+    # recipe), a pure and a lossy cat-prep ramp, both single-qubit paths, a
     # coherent Fock-basis gate, a dissipative Kerr-level gate and a 1000-event
     # noisy effective gate (sx_block_columns' batched eigh) import none of
     # scipy.linalg, scipy.integrate, the scipy.optimize that scipy.integrate
-    # pulls in, scipy.sparse.linalg and scipy.sparse.csgraph
+    # pulls in, scipy.special, scipy.sparse.linalg and scipy.sparse.csgraph
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    configs = str(Path(__file__).resolve().parents[1] / "configs")
     code = ("import sys\n"
+            "from pathlib import Path\n"
             "from catms import cli, gates, noise, protocols\n"
             "from catms.model import GateConfig\n"
+            f"for p in sorted(Path({configs!r}).glob('*.json')):\n"
+            "    cli.estimate_resources(cli.load_spec(p))\n"
             "protocols.run_cat_prep(1.0, 1.0, 0.5, dim=8)\n"
             "protocols.run_cat_prep(1.0, 1.0, 0.5, kappa=0.1, dim=8)\n"
             "for use_h_add in (False, True):\n"
@@ -483,7 +553,7 @@ def test_no_scipy_integrate_in_a_fresh_process():
             "gates.run_gate(cfg, noise.noisy_schedule(cfg, spec, gates.gate_time(cfg)),\n"
             "               mode='effective')\n"
             "print(sorted(m for m in sys.modules if m.startswith(\n"
-            "    ('scipy.linalg', 'scipy.integrate', 'scipy.optimize',\n"
+            "    ('scipy.linalg', 'scipy.integrate', 'scipy.optimize', 'scipy.special',\n"
             "     'scipy.sparse.linalg', 'scipy.sparse.csgraph'))))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -1,7 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import eval_laguerre
 
 from catms import dynamics, protocols
 from catms.hilbert import number_op
@@ -104,7 +104,8 @@ def test_josephson_splitting_matches_laguerre_closed_form():
     a = np.diag(np.sqrt(np.arange(1, dim)), 1)
     w, v = np.linalg.eigh(2.0 * alpha * (a + a.T))
     cos_diag = np.einsum("ij,j,ij->i", v, np.cos(w), v)
-    laguerre = np.exp(-2.0 * alpha**2) * eval_laguerre(np.arange(dim), 4.0 * alpha**2)
+    laguerre = np.array([float(mpmath.exp(-2 * alpha**2) * mpmath.laguerre(k, 0, 4 * alpha**2))
+                         for k in range(dim)])
     weights = (np.abs(single_mode_cat_vector(dim, alpha, CatParity.EVEN)) ** 2
                - np.abs(single_mode_cat_vector(dim, alpha, CatParity.ODD)) ** 2)
     split = protocols.josephson_splitting(alpha)
@@ -114,6 +115,23 @@ def test_josephson_splitting_matches_laguerre_closed_form():
     assert split == pytest.approx(0.201088, abs=1e-6)
     # 0.8% above the large-α asymptote 1/(α√(2π)) = 0.19947 at α = 2
     assert split - 1.0 / (alpha * np.sqrt(2.0 * np.pi)) > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, 4.0])
+def test_josephson_splitting_matches_an_mpmath_sum(alpha):
+    # Σ_n ±p_n·e^{−2α²}L_n(4α²) in 40-digit arithmetic, with L_n as its
+    # finite sum Σ_j C(n, j)(−x)^j/j! and 60 orders past the program's range
+    with mpmath.workdps(40):
+        a2 = mpmath.mpf(alpha) ** 2
+        x, overlap = 4 * a2, mpmath.exp(-2 * a2)
+        total = mpmath.mpf(0)
+        for n in range(int(np.ceil(alpha**2 + 12 * alpha + 40)) + 60):
+            lag = mpmath.fsum(mpmath.binomial(n, j) * (-x) ** j / mpmath.factorial(j)
+                              for j in range(n + 1))
+            poisson = mpmath.exp(-a2) * a2**n / mpmath.factorial(n)
+            weight = 2 / (1 + overlap) if n % 2 == 0 else -2 / (1 - overlap)
+            total += weight * poisson * overlap * lag
+    assert abs(protocols.josephson_splitting(alpha) - float(total)) < 1e-13
 
 
 def test_design_drive_round_trip():
